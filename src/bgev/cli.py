@@ -21,7 +21,7 @@ from .data import BUNDLED, bundled_path
 from .distribution import cdf, pdf, quantile, sample
 from .gof import ad_statistic, ks_statistic, ljung_box
 from .mle import InfeasibleStartError
-from .params import BgevParams, ParameterError
+from .params import BgevParams, ParameterError, format_float
 from .pipeline import (
     START_PRESETS,
     InputDataError,
@@ -39,10 +39,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -68,11 +64,11 @@ def cmd_eval(args) -> int:
     if args.x is not None:
         out.write("x,pdf,cdf\n")
         for v in args.x:
-            out.write(f"{_fmt(v)},{_fmt(float(pdf(v, p)))},{_fmt(float(cdf(v, p)))}\n")
+            out.write(f"{format_float(v)},{format_float(float(pdf(v, p)))},{format_float(float(cdf(v, p)))}\n")
     if args.q is not None:
         out.write("q,quantile\n")
         for v in args.q:
-            out.write(f"{_fmt(v)},{_fmt(float(quantile(v, p)))}\n")
+            out.write(f"{format_float(v)},{format_float(float(quantile(v, p)))}\n")
     if args.x is None and args.q is None:
         raise InputDataError("nothing to evaluate: pass --x and/or --q")
     return EXIT_OK
@@ -81,7 +77,7 @@ def cmd_eval(args) -> int:
 def cmd_sample(args) -> int:
     p = _params_from(args)
     draws = sample(args.n, p, args.seed)
-    lines = "\n".join(_fmt(v) for v in draws) + "\n"
+    lines = "\n".join(format_float(v) for v in draws) + "\n"
     if args.out:
         Path(args.out).write_text(lines, encoding="utf-8")
     else:
@@ -97,11 +93,11 @@ def cmd_gof(args) -> int:
     ad = ad_statistic(x, lambda v: cdf(v, p))
     lb = ljung_box(x, lags=args.ljung_box_lags)
     sys.stdout.write(f"n,{x.size}\n")
-    sys.stdout.write(f"ks,{_fmt(ks)}\n")
-    sys.stdout.write(f"ad,{_fmt(ad)}\n")
-    sys.stdout.write(f"ljung_box_statistic,{_fmt(lb.statistic)}\n")
+    sys.stdout.write(f"ks,{format_float(ks)}\n")
+    sys.stdout.write(f"ad,{format_float(ad)}\n")
+    sys.stdout.write(f"ljung_box_statistic,{format_float(lb.statistic)}\n")
     sys.stdout.write(f"ljung_box_lags,{lb.lags}\n")
-    sys.stdout.write(f"ljung_box_p_value,{_fmt(lb.p_value)}\n")
+    sys.stdout.write(f"ljung_box_p_value,{format_float(lb.p_value)}\n")
     return EXIT_OK
 
 
@@ -129,8 +125,8 @@ def cmd_fit(args) -> int:
         f"blocks,{report.n}\n"
         f"block_size,{b.block_size}\n"
         f"standardized,{b.standardized}\n"
-        f"ljung_box_statistic,{_fmt(lb.statistic)}\n"
-        f"ljung_box_p_value,{_fmt(lb.p_value)}\n"
+        f"ljung_box_statistic,{format_float(lb.statistic)}\n"
+        f"ljung_box_p_value,{format_float(lb.p_value)}\n"
     )
     (out_dir / "report.txt").write_text(header + text, encoding="utf-8")
     (out_dir / "comparison.csv").write_text(comparison_to_csv(report), encoding="utf-8")

@@ -12,7 +12,6 @@ import math
 from math import comb
 
 import numpy as np
-from scipy import integrate
 
 from .gev import gev_cdf, gev_mode, gev_pdf, gev_quantile
 from .incgamma import incomplete_gamma_lower, incomplete_gamma_upper
@@ -251,38 +250,19 @@ def critical_points(p: BgevParams, grid_size: int = 1024) -> CriticalPoints:
 # moments
 
 
-def _integrate_over_support(fn, p: BgevParams) -> float:
-    """Adaptive quadrature of fn(x)*pdf(x) over the support, split at the
-    origin where the integrand may have an integrable singularity."""
-    sup = support(p)
-    segments = []
-    if p.xi > 0:
-        if sup.lower < 0.0:
-            segments = [(sup.lower, 0.0), (0.0, math.inf)]
-        else:
-            segments = [(sup.lower, math.inf)]
-    else:
-        if sup.upper > 0.0:
-            segments = [(-math.inf, 0.0), (0.0, sup.upper)]
-        else:
-            segments = [(-math.inf, sup.upper)]
-    total = 0.0
-    for a, b in segments:
-        val, _ = integrate.quad(
-            lambda x: fn(x) * float(pdf(x, p)), a, b, limit=400, epsabs=1e-12, epsrel=1e-10
-        )
-        total += val
-    return total
-
-
 def moment(k: int, p: BgevParams) -> float:
     """E[X**(k*(delta+1))], the k-th moment on the transformed power scale.
 
-    Exists for xi < 1/k.  For xi > 0 the value comes from the closed
-    incomplete-gamma form, branching on the sign of mu - 1/xi; for xi < 0
-    no closed form is available and adaptive quadrature is used instead.
-    When the support reaches below zero the moment is real-valued only if
-    the exponent k*(delta+1) is an integer, i.e. k*delta integral.
+    Exists for xi < 1/k.  With Z ~ Exp(1), the GEV variable is
+    Y = T(X) = mu + (Z**(-xi) - 1)/xi, so Y**k expands binomially in powers
+    Z**(-xi*i) whose expectations over Z are incomplete gamma integrals.
+    For either sign of xi, Y < 0 exactly when Z > x0 = (1 - xi*mu)**(-1/xi);
+    when 1 - xi*mu <= 0 the support lies entirely on one side of zero
+    (x0 = inf for xi > 0, x0 = 0 for xi < 0).  The part over Y < 0 carries
+    the sign (-1)**(k*delta), so when the support reaches below zero the
+    moment is real-valued only if k*(delta+1) is an integer, i.e. k*delta
+    integral.  The binomial sum cancels as |xi| -> 0, losing up to about
+    k*log10(1/|xi|) digits.
     """
     if int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -291,33 +271,24 @@ def moment(k: int, p: BgevParams) -> float:
     if xi >= 1.0 / k:
         raise ValueError(f"moment of order k={k} requires xi < 1/k, got xi={xi}")
 
+    base = 1.0 - xi * mu
+    if base > 0.0:
+        x0 = base ** (-1.0 / xi)
+    else:
+        x0 = math.inf if xi > 0 else 0.0
+
     kd = k * dl
-    kd_int = abs(kd - round(kd)) < 1e-9
-
-    if xi > 0 and mu - 1.0 / xi >= 0.0:
-        # support is nonnegative: single complete-gamma sum
-        acc = 0.0
-        for i in range(k + 1):
-            acc += comb(k, i) * (mu - 1.0 / xi) ** (k - i) * xi ** (-i) * math.gamma(1.0 - xi * i)
-        return acc / sg**k
-
-    if not kd_int:
+    if x0 < math.inf and abs(kd - round(kd)) >= 1e-9:
         raise ValueError(
             "moment is not real-valued: support includes negatives and the "
             f"exponent k*(delta+1)={k * (dl + 1.0)} is not an integer"
         )
+    sign = -1.0 if round(kd) % 2 else 1.0
 
-    if xi > 0:
-        x0 = (1.0 - xi * mu) ** (-1.0 / xi)
-        i_neg = 0.0  # integral of y**k f(y) over the negative-y part
-        i_pos = 0.0
-        for i in range(k + 1):
-            c = comb(k, i) * (xi * mu - 1.0) ** (k - i)
-            i_neg += c * incomplete_gamma_upper(1.0 - xi * i, x0)
-            i_pos += c * incomplete_gamma_lower(1.0 - xi * i, x0)
-        sign = -1.0 if (round(kd) % 2) else 1.0
-        return (sign * i_neg + i_pos) / (xi**k * sg**k)
-
-    # xi < 0: closed form unsupported, integrate directly
-    m_exp = int(round(k * (dl + 1.0)))
-    return _integrate_over_support(lambda x: float(x) ** m_exp, p)
+    i_neg = 0.0  # xi**k * E[Y**k; Y < 0], the part over Z > x0
+    i_pos = 0.0  # xi**k * E[Y**k; Y >= 0]
+    for i in range(k + 1):
+        c = comb(k, i) * (-base) ** (k - i)
+        i_neg += c * incomplete_gamma_upper(1.0 - xi * i, x0)
+        i_pos += c * incomplete_gamma_lower(1.0 - xi * i, x0)
+    return (sign * i_neg + i_pos) / (xi**k * sg**k)

@@ -2,8 +2,9 @@
 
 Kolmogorov-Smirnov and Anderson-Darling use their textbook definitions over
 the order statistics; Ljung-Box is the usual portmanteau statistic with a
-chi-squared reference distribution.  All statistics are permutation
-invariant in the sample.
+chi-squared reference distribution, whose tail probability comes from the
+regularized upper incomplete gamma function.  KS, AD and the QQ data are
+permutation invariant in the sample; Ljung-Box depends on the order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
+
+from .incgamma import regularized_gamma_upper
 
 __all__ = [
     "GofReport",
@@ -84,7 +86,9 @@ def ljung_box(x, lags: int = 10) -> LjungBoxReport:
     """Portmanteau test of serial independence.
 
     Q = n(n+2) * sum_{k=1..h} acf_k^2 / (n-k), referred to chi-squared with
-    h degrees of freedom.  Requires h < n/2 and a non-constant series.
+    h degrees of freedom: the p-value is the regularized upper incomplete
+    gamma at (h/2, Q/2), which stays finite for every admissible h.
+    Requires h < n/2 and a non-constant series.
     """
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
@@ -101,7 +105,7 @@ def ljung_box(x, lags: int = 10) -> LjungBoxReport:
         rho = float(np.dot(centered[k:], centered[:-k])) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
-    return LjungBoxReport(statistic=q, lags=lags, p_value=float(_scipy_stats.chi2.sf(q, lags)))
+    return LjungBoxReport(statistic=q, lags=lags, p_value=regularized_gamma_upper(lags / 2.0, q / 2.0))
 
 
 def qq_pairs(x, quantile) -> np.ndarray:

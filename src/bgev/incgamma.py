@@ -1,9 +1,12 @@
-"""Unregularized incomplete gamma functions.
+"""Incomplete gamma functions.
 
 ``incomplete_gamma_lower(a, x)`` integrates t**(a-1)*exp(-t) over (0, x) and
 ``incomplete_gamma_upper(a, x)`` over (x, inf), so the two always sum to
 Gamma(a).  This is the standard convention (lower = small-t integral); any
 source that writes the pair the other way round must be mapped before use.
+``regularized_gamma_upper(a, x)`` is Q(a, x) = upper / Gamma(a), computed
+without forming Gamma(a), so it stays finite where Gamma(a) overflows; it
+gives chi-squared tail probabilities as chi2.sf(q, h) = Q(h/2, q/2).
 
 Evaluation follows the classic split: a power series for the lower function
 when x < a + 1, and a modified Lentz continued fraction for the upper
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["incomplete_gamma_lower", "incomplete_gamma_upper"]
+__all__ = ["incomplete_gamma_lower", "incomplete_gamma_upper", "regularized_gamma_upper"]
 
 _EPS = 2.22e-16
 _TINY = 1e-300
@@ -85,15 +88,18 @@ def incomplete_gamma_lower(a: float, x: float) -> float:
     return p * math.gamma(a)
 
 
-def incomplete_gamma_upper(a: float, x: float) -> float:
-    """Integral of t**(a-1)*exp(-t) over (x, inf)."""
+def regularized_gamma_upper(a: float, x: float) -> float:
+    """Q(a, x): the integral of t**(a-1)*exp(-t) over (x, inf), divided by Gamma(a)."""
     _check_args(a, x)
     if x == 0.0:
-        return math.gamma(a)
+        return 1.0
     if math.isinf(x):
         return 0.0
     if x < a + 1.0:
-        q = 1.0 - _series_regularized(a, x)
-    else:
-        q = _contfrac_regularized(a, x)
-    return q * math.gamma(a)
+        return 1.0 - _series_regularized(a, x)
+    return _contfrac_regularized(a, x)
+
+
+def incomplete_gamma_upper(a: float, x: float) -> float:
+    """Integral of t**(a-1)*exp(-t) over (x, inf)."""
+    return regularized_gamma_upper(a, x) * math.gamma(a)

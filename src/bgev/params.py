@@ -21,6 +21,12 @@ class ParameterError(ValueError):
     """Raised when a parameter vector violates its admissibility constraints."""
 
 
+def format_float(v: float) -> str:
+    """Text of a float in every output file: 17 significant digits, enough to
+    round-trip any double."""
+    return f"{v:.17g}"
+
+
 @dataclass(frozen=True)
 class BgevParams:
     """Parameter vector (xi, mu, sigma, delta) of the bimodal GEV distribution.

@@ -21,9 +21,9 @@ import numpy as np
 from .distribution import cdf as bgev_cdf
 from .distribution import pdf as bgev_pdf
 from .distribution import quantile as bgev_quantile
-from .gof import ad_statistic, ks_statistic, qq_pairs
+from .gof import gof_report
 from .mle import FitResult, InfeasibleStartError, OptimizerOptions, default_start, fit_mle
-from .params import BgevParams, GevParams
+from .params import BgevParams, GevParams, format_float
 
 __all__ = [
     "InputDataError",
@@ -119,7 +119,10 @@ def ingest(
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
 
-    rows = [r for r in _csv.reader(io.StringIO(text), delimiter="\t" if "\t" in text.splitlines()[0] else ",") if r]
+    lines = text.splitlines()
+    if not lines:
+        raise InputDataError(f"{path}: file is empty")
+    rows = [r for r in _csv.reader(io.StringIO(text), delimiter="\t" if "\t" in lines[0] else ",") if r]
     if not rows:
         raise InputDataError(f"{path}: file holds no data rows")
 
@@ -240,9 +243,7 @@ def _gev_to_internal(g: GevParams) -> BgevParams:
 
 def _assess(name: str, fit: FitResult, x: np.ndarray, as_gev: bool) -> ModelAssessment:
     th = fit.theta_hat
-    ks = ks_statistic(x, lambda v: bgev_cdf(v, th))
-    ad = ad_statistic(x, lambda v: bgev_cdf(v, th))
-    qq = qq_pairs(x, lambda q: bgev_quantile(q, th))
+    gof = gof_report(x, lambda v: bgev_cdf(v, th), lambda q: bgev_quantile(q, th))
     if as_gev:
         mu, sigma = th.mu / th.sigma, 1.0 / th.sigma
         delta = 0.0
@@ -254,11 +255,11 @@ def _assess(name: str, fit: FitResult, x: np.ndarray, as_gev: bool) -> ModelAsse
         sigma=sigma,
         xi=th.xi,
         delta=delta,
-        ks=ks,
-        ad=ad,
+        ks=gof.ks,
+        ad=gof.ad,
         neg2loglik=fit.neg2loglik,
         converged=fit.converged,
-        qq=qq,
+        qq=gof.qq,
         params_internal=th,
     )
 
@@ -324,10 +325,6 @@ def fit_and_compare(
 # plot data
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _fd_bin_count(x: np.ndarray) -> int:
     q75, q25 = np.percentile(x, [75, 25])
     iqr = q75 - q25
@@ -365,7 +362,7 @@ def emit_plot_data(
     with hist_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("bin_left,bin_right,count,density\n")
         for i in range(nbins):
-            fh.write(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{counts[i]},{_fmt(dens[i])}\n")
+            fh.write(f"{format_float(edges[i])},{format_float(edges[i + 1])},{counts[i]},{format_float(dens[i])}\n")
     written.append(hist_path)
 
     pad = 0.05 * (x.max() - x.min())
@@ -376,7 +373,7 @@ def emit_plot_data(
     with dens_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,pdf_bgev,pdf_gev\n")
         for xi_, pb, pg in zip(grid, pdf_b, pdf_g):
-            fh.write(f"{_fmt(xi_)},{_fmt(pb)},{_fmt(pg)}\n")
+            fh.write(f"{format_float(xi_)},{format_float(pb)},{format_float(pg)}\n")
     written.append(dens_path)
 
     for label, row in (("bgev", report.bgev), ("gev", report.gev)):
@@ -384,7 +381,7 @@ def emit_plot_data(
         with qq_path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("theoretical,empirical\n")
             for t, e in row.qq:
-                fh.write(f"{_fmt(t)},{_fmt(e)}\n")
+                fh.write(f"{format_float(t)},{format_float(e)}\n")
         written.append(qq_path)
 
     return written
@@ -414,13 +411,13 @@ def comparison_to_csv(report: ComparisonReport) -> str:
             ",".join(
                 [
                     row.model,
-                    _fmt(row.mu),
-                    _fmt(row.sigma),
-                    _fmt(row.xi),
-                    _fmt(row.delta),
-                    _fmt(row.ks),
-                    _fmt(row.ad),
-                    _fmt(row.neg2loglik),
+                    format_float(row.mu),
+                    format_float(row.sigma),
+                    format_float(row.xi),
+                    format_float(row.delta),
+                    format_float(row.ks),
+                    format_float(row.ad),
+                    format_float(row.neg2loglik),
                     str(row.converged),
                 ]
             )

@@ -24,7 +24,7 @@ import numpy as np
 from .distribution import sample
 from .likelihood import log_likelihood
 from .mle import InfeasibleStartError, OptimizerOptions, fit_mle
-from .params import BgevParams, ParameterError
+from .params import BgevParams, ParameterError, format_float
 
 __all__ = [
     "FREE_PARAMS",
@@ -96,23 +96,19 @@ class SimReport:
     def csv_row(self) -> str:
         t = self.config.truth
         cells = [
-            _fmt(t.xi),
-            _fmt(t.mu),
-            _fmt(t.sigma),
-            _fmt(t.delta),
+            format_float(t.xi),
+            format_float(t.mu),
+            format_float(t.sigma),
+            format_float(t.delta),
             str(self.config.n),
             str(self.config.m),
             str(self.config.seed),
         ]
-        cells += [_fmt(self.mean[k]) for k in FREE_PARAMS]
-        cells += [_fmt(self.bias[k]) for k in FREE_PARAMS]
-        cells += [_fmt(self.mse[k]) for k in FREE_PARAMS]
+        cells += [format_float(self.mean[k]) for k in FREE_PARAMS]
+        cells += [format_float(self.bias[k]) for k in FREE_PARAMS]
+        cells += [format_float(self.mse[k]) for k in FREE_PARAMS]
         cells.append(str(self.failures))
         return ",".join(cells)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevParams:

@@ -1,9 +1,13 @@
 """Shared fixtures and oracle helpers."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+import bgev
 from bgev import BgevParams, pdf, support
 
 
@@ -36,6 +40,12 @@ def integrate_pdf(p: BgevParams, fn=None, epsabs=1e-12, epsrel=1e-10):
         )
         total += val
     return total
+
+
+def child_env():
+    """Environment under which a child interpreter imports the same bgev as this process."""
+    src = str(Path(bgev.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def central_diff(fn, x, h):

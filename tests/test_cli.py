@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import pytest
 
 from bgev.cli import main
+from tests.conftest import child_env
 
 
 def run_cli(argv, capsys):
@@ -106,6 +109,18 @@ def test_fit_no_standardize_flag(tmp_path, capsys):
 def test_fit_missing_file(capsys):
     rc, _, err = run_cli(["fit", "--input", "/does/not/exist.csv"], capsys)
     assert rc == 2 and "error" in err
+
+
+@pytest.mark.parametrize("command", [["fit", "--out-dir", "out"], ["gof", *PARAMS]])
+def test_empty_input_exits_2_without_traceback(tmp_path, command):
+    # a real child process, so an escaping exception would show as a traceback
+    (tmp_path / "empty.csv").write_text("")
+    res = subprocess.run(
+        [sys.executable, "-m", "bgev.cli", *command, "--input", "empty.csv"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert res.returncode == 2
+    assert "empty" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_fit_unknown_bundle(capsys):

@@ -387,14 +387,14 @@ def test_classification_matches_grid_scan():
 
 
 def test_moment_positive_branch_frozen():
-    # mu - 1/xi > 0: single complete-gamma sum; oracle = quadrature
+    # mu - 1/xi > 0: support entirely nonnegative; oracle = quadrature
     p = BgevParams(xi=0.5, mu=2.5, sigma=1.0, delta=0.0)
     assert moment(1, p) == pytest.approx(4.044907701811032, rel=1e-12)
     assert moment(1, p) == pytest.approx(integrate_pdf(p, lambda x: x), rel=1e-6)
 
 
 def test_moment_negative_branch_frozen():
-    # mu - 1/xi < 0: two-branch incomplete-gamma form; oracle = quadrature
+    # mu - 1/xi < 0: support on both sides of zero; oracle = quadrature
     p = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=0.0)
     assert moment(1, p) == pytest.approx(1.5449077018110318, rel=1e-12)
     assert moment(1, p) == pytest.approx(integrate_pdf(p, lambda x: x), rel=1e-6)
@@ -406,11 +406,20 @@ def test_moment_matches_quadrature_both_branches(rng):
         (1, BgevParams(xi=0.4, mu=0.5, sigma=1.2, delta=2.0)),  # negative branch
         (2, BgevParams(xi=0.25, mu=0.3, sigma=1.3, delta=1.0)),
         (2, BgevParams(xi=0.25, mu=5.0, sigma=1.0, delta=0.0)),
+        # xi < 0: the same incomplete-gamma sum, support reaching both sides of zero
+        (1, BgevParams(xi=-0.25, mu=0.7, sigma=1.0, delta=1.0)),
+        (2, BgevParams(xi=-0.5, mu=-0.5, sigma=0.8, delta=2.0)),
+        (3, BgevParams(xi=-0.1, mu=2.0, sigma=1.2, delta=0.0)),
+        (2, BgevParams(xi=-1.5, mu=0.0, sigma=1.0, delta=-0.5)),
+        # xi < 0 with mu <= 1/xi: the support lies entirely below zero
+        (1, BgevParams(xi=-0.5, mu=-3.0, sigma=1.0, delta=1.0)),
+        (2, BgevParams(xi=-0.9, mu=-1.2, sigma=1.5, delta=2.0)),
+        (1, BgevParams(xi=-0.5, mu=-2.0, sigma=1.0, delta=0.0)),  # mu == 1/xi
     ]
     for k, p in cases:
         m_exp = k * (p.delta + 1.0)
         num = integrate_pdf(p, lambda x: x ** int(round(m_exp)))
-        assert moment(k, p) == pytest.approx(num, rel=1e-6)
+        assert moment(k, p) == pytest.approx(num, rel=1e-8), (k, p)
 
 
 def test_moment_mean_via_fractional_delta():
@@ -421,7 +430,7 @@ def test_moment_mean_via_fractional_delta():
     assert moment(k, p) == pytest.approx(integrate_pdf(p, lambda x: x), rel=1e-6)
 
 
-def test_moment_negative_shape_uses_quadrature():
+def test_moment_negative_shape_matches_sample_mean():
     p = BgevParams(xi=-0.5, mu=0.0, sigma=1.0, delta=2.0)
     val = moment(1, p)
     draws = sample(400_000, p, seed=5)
@@ -436,6 +445,12 @@ def test_moment_existence_domain():
     # non-integer exponent over a support reaching below zero is not real-valued
     with pytest.raises(ValueError):
         moment(1, BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=0.3))
+    # for xi < 0 the support always reaches below zero
+    with pytest.raises(ValueError):
+        moment(1, BgevParams(xi=-0.5, mu=5.0, sigma=1.0, delta=0.3))
+    # an entirely nonnegative support (mu >= 1/xi > 0) admits any delta
+    p = BgevParams(xi=0.25, mu=5.0, sigma=1.0, delta=0.3)
+    assert moment(1, p) == pytest.approx(integrate_pdf(p, lambda x: x**1.3), rel=1e-8)
 
 
 # ----------------------------------------------------------------------- tail

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bgev import (
     BgevParams,
@@ -105,6 +106,21 @@ def test_ljung_box_hand_autocorrelation():
     assert rep.statistic == pytest.approx(4 * 6 * 0.15**2 / 3, rel=1e-12)
     assert rep.lags == 1
     assert 0.0 <= rep.p_value <= 1.0
+
+
+def test_ljung_box_p_value_matches_chi2_tail():
+    x = np.random.default_rng(11).normal(size=400)
+    for lags in (1, 2, 5, 10, 40, 150):
+        rep = ljung_box(x, lags=lags)
+        assert rep.p_value == pytest.approx(stats.chi2.sf(rep.statistic, lags), rel=1e-12)
+
+
+def test_ljung_box_many_lags_stays_finite():
+    # Gamma(lags/2) = Gamma(200) overflows a double; the regularized form must not
+    x = np.random.default_rng(12).normal(size=1000)
+    rep = ljung_box(x, lags=400)
+    assert math.isfinite(rep.p_value) and 0.0 < rep.p_value < 1.0
+    assert rep.p_value == pytest.approx(stats.chi2.sf(rep.statistic, 400), rel=1e-10)
 
 
 def test_ljung_box_input_validation():

@@ -4,6 +4,7 @@ import pytest
 from scipy import integrate, special
 
 from bgev import incomplete_gamma_lower, incomplete_gamma_upper
+from bgev.incgamma import regularized_gamma_upper
 
 
 def test_exponential_case():
@@ -40,6 +41,15 @@ def test_against_scipy_regularized(rng):
         assert incomplete_gamma_upper(a, x) == pytest.approx(
             special.gammaincc(a, x) * math.gamma(a), rel=1e-12, abs=1e-280
         )
+
+
+def test_regularized_upper_against_scipy(rng):
+    # large shapes included: Gamma(a) overflows past a ~ 171, Q(a, x) does not
+    for a in (0.5, 1.0, 3.5, 20.0, 200.0, 1000.0):
+        for x in (1e-6, 0.3 * a, a, a + 1.0, 1.3 * a + 5.0):
+            assert regularized_gamma_upper(a, x) == pytest.approx(special.gammaincc(a, x), rel=1e-12)
+    assert regularized_gamma_upper(2.0, 0.0) == 1.0
+    assert regularized_gamma_upper(2.0, math.inf) == 0.0
 
 
 def test_infinite_x():

@@ -85,6 +85,12 @@ def test_ingest_missing_file():
         ingest("/no/such/file.csv")
 
 
+def test_ingest_empty_file(tmp_path):
+    f = write(tmp_path, "empty.csv", "")
+    with pytest.raises(InputDataError, match="empty"):
+        ingest(f)
+
+
 def test_ingest_all_missing(tmp_path):
     f = write(tmp_path, "h.csv", "t,v\n1,\n2,\n")
     with pytest.raises(InputDataError):

@@ -28,7 +28,7 @@ from .gof import (
     qq_pairs,
 )
 from .incgamma import incomplete_gamma_lower, incomplete_gamma_upper
-from .likelihood import PARAM_ORDER, LikelihoodWorkspace, hessian, log_likelihood, score
+from .likelihood import PARAM_ORDER, hessian, log_likelihood, score
 from .mle import (
     FisherInformation,
     FitResult,
@@ -93,7 +93,6 @@ __all__ = [
     "moment",
     "tail_index",
     "PARAM_ORDER",
-    "LikelihoodWorkspace",
     "log_likelihood",
     "score",
     "hessian",

@@ -1,8 +1,10 @@
 """Log-likelihood of a BGEV sample with analytic gradient and Hessian.
 
 Derivative vectors and matrices are ordered (mu, sigma, delta, xi).  All
-derivatives are obtained by direct differentiation of the log-likelihood
-and every entry is pinned by central finite-difference tests.
+three come from one pass of ``kernel``, which evaluates the per-observation
+quantities once and differentiates through the GEV kernel
+psi = 1 + xi*(sigma*x*|x|**delta - mu); every entry is pinned by central
+finite-difference tests.
 
 Infeasible evaluations (an observation outside the support of the candidate
 parameters, or sitting exactly at the origin with delta != 0) yield -inf for
@@ -12,174 +14,128 @@ these as rejected proposals, no exception is raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .params import BgevParams
 
-__all__ = ["PARAM_ORDER", "LikelihoodWorkspace", "log_likelihood", "score", "hessian"]
+__all__ = ["PARAM_ORDER", "kernel", "log_likelihood", "score", "hessian"]
 
 PARAM_ORDER = ("mu", "sigma", "delta", "xi")
-_IDX = {name: i for i, name in enumerate(PARAM_ORDER)}
 
 
-@dataclass(frozen=True)
-class LikelihoodWorkspace:
-    """Per-observation quantities shared by the likelihood and its derivatives.
+def _infeasible(order: int):
+    if order == 0:
+        return -np.inf
+    if order == 1:
+        return -np.inf, np.full(4, np.nan)
+    return -np.inf, np.full(4, np.nan), np.full((4, 4), np.nan)
 
-    psi[i] is the GEV kernel 1 + xi*(T(x_i) - mu) evaluated at the transformed
-    observation; omega[i] = (1 + xi - psi[i]**(-1/xi)) / psi[i].  valid is True
-    exactly when every observation lies strictly inside the support (all psi
-    positive) and no observation sits at the origin while delta != 0.
+
+def kernel(theta: BgevParams, x, order: int = 2):
+    """Log-likelihood and, by ``order``, its derivatives from one pass.
+
+    order 0 returns ll, order 1 (ll, g), order 2 (ll, g, H).  With
+    w = x*|x|**delta, L = log|x|, t = sigma*w and psi = 1 + xi*(t - mu), the
+    log-likelihood is n*log(sigma) + n*log(1+delta) + delta*sum(L) + sum(f)
+    with f = -(1 + 1/xi)*log(psi) - psi**(-1/xi).  g and H follow from the
+    chain rule through psi: P holds d psi / d theta per observation, so the
+    curvature term is (P * f_psipsi) @ P.T; the five non-zero second
+    derivatives of psi, the explicit-xi terms of f and the direct
+    sigma/delta terms are added as sums.
     """
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    mu, sg, dl, xi = theta.mu, theta.sigma, theta.delta, theta.xi
+    with np.errstate(all="ignore"):
+        absx = np.abs(x)
+        L = np.log(absx)
+        if not absx.all():  # an observation at the origin
+            if dl != 0.0:
+                return _infeasible(order)
+            L[absx == 0.0] = 0.0
+        w = x * absx**dl if dl != 0.0 else x
+        t = sg * w
+        d = t - mu
+        psi = 1.0 + xi * d
+        if not (psi > 0.0).all():  # NaN fails too; psi = inf makes ll -inf below
+            return _infeasible(order)
+        u = np.log(psi)
+        a = np.exp(-u / xi)
+        sum_l = float(L.sum())
+        ll = (
+            n * math.log(sg)
+            + n * math.log1p(dl)
+            + dl * sum_l
+            - (1.0 + 1.0 / xi) * float(u.sum())
+            - float(a.sum())
+        )
+        if not math.isfinite(ll):
+            return _infeasible(order)
+        if order == 0:
+            return ll
 
-    psi: np.ndarray
-    omega: np.ndarray
-    valid: bool
+        tl = t * L
+        p = np.empty((4, n))
+        p[0] = -xi
+        p[1] = xi * w
+        p[2] = xi * tl
+        p[3] = d
+        f_psi = (a - 1.0 - xi) / (xi * psi)
+        f_xi = u * (1.0 - a) / xi**2
+        g = p @ f_psi
+        g[1] += n / sg
+        g[2] += n / (1.0 + dl) + sum_l
+        g[3] += f_xi.sum()
+        if order == 1:
+            return ll, g
 
-    @classmethod
-    def build(cls, theta: BgevParams, x: np.ndarray) -> "LikelihoodWorkspace":
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = theta.sigma * x * np.where(x == 0.0, 0.0, np.abs(x)) ** theta.delta
-        psi = 1.0 + theta.xi * (t - theta.mu)
-        bad_origin = bool(np.any(x == 0.0)) and theta.delta != 0.0
-        valid = bool(np.all(psi > 0.0)) and not bad_origin and bool(np.all(np.isfinite(psi)))
-        if not valid:
-            return cls(psi=psi, omega=np.full_like(psi, np.nan), valid=False)
-        with np.errstate(over="ignore", under="ignore"):
-            a = psi ** (-1.0 / theta.xi)
-        omega = (1.0 + theta.xi - a) / psi
-        return cls(psi=psi, omega=omega, valid=True)
-
-
-def _prepare(theta: BgevParams, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (x, t, w, logabs) with t = T(x), w = x*|x|**delta."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
-    absx = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = x * np.where(x == 0.0, 0.0, absx) ** theta.delta
-        logabs = np.where(x == 0.0, 0.0, np.log(np.where(x == 0.0, 1.0, absx)))
-    return x, theta.sigma * w, w, logabs
+        f_psipsi = (1.0 + xi) * (xi - a) / (xi * psi) ** 2
+        f_psixi = (1.0 - a + a * u / xi) / (xi**2 * psi)
+        f_xixi = -u * (2.0 * (1.0 - a) / xi**3 + u * a / xi**4)
+        h = (p * f_psipsi) @ p.T
+        h = 0.5 * (h + h.T)
+        # second derivatives of psi, weighted by f_psi
+        h_mu_xi = -float(f_psi.sum())
+        h_sg_dl = xi * float(f_psi @ (w * L))
+        h_sg_xi = float(f_psi @ w)
+        h_dl_xi = float(f_psi @ tl)
+        h[0, 3] += h_mu_xi
+        h[3, 0] += h_mu_xi
+        h[1, 2] += h_sg_dl
+        h[2, 1] += h_sg_dl
+        h[1, 3] += h_sg_xi
+        h[3, 1] += h_sg_xi
+        h[2, 3] += h_dl_xi
+        h[3, 2] += h_dl_xi
+        h[2, 2] += xi * float(f_psi @ (tl * L))
+        # explicit xi dependence of f, and the direct sigma/delta terms
+        cross = p @ f_psixi
+        h[3] += cross
+        h[:, 3] += cross
+        h[3, 3] += float(f_xixi.sum())
+        h[1, 1] -= n / sg**2
+        h[2, 2] -= n / (1.0 + dl) ** 2
+    return ll, g, h
 
 
 def log_likelihood(theta: BgevParams, x) -> float:
     """Sum of log densities; -inf when any observation is infeasible."""
-    x, t, _, logabs = _prepare(theta, x)
-    n = x.size
-    psi = 1.0 + theta.xi * (t - theta.mu)
-    if np.any(psi <= 0.0) or (theta.delta != 0.0 and np.any(x == 0.0)):
-        return -np.inf
-    with np.errstate(over="ignore", under="ignore"):
-        a = psi ** (-1.0 / theta.xi)
-        val = (
-            n * np.log(theta.sigma)
-            + n * np.log(theta.delta + 1.0)
-            + np.sum(theta.delta * logabs - (1.0 + 1.0 / theta.xi) * np.log(psi) - a)
-        )
-    return float(val) if np.isfinite(val) else -np.inf
+    return kernel(theta, x, 0)
 
 
 def score(theta: BgevParams, x) -> np.ndarray:
     """Analytic gradient of the log-likelihood, ordered (mu, sigma, delta, xi).
 
-    NaN-filled when the workspace is infeasible.
+    NaN-filled when the evaluation is infeasible.
     """
-    x, t, w, logabs = _prepare(theta, x)
-    ws = LikelihoodWorkspace.build(theta, x)
-    if not ws.valid:
-        return np.full(4, np.nan)
-    n = x.size
-    xi, sg, dl = theta.xi, theta.sigma, theta.delta
-    psi, omega = ws.psi, ws.omega
-    with np.errstate(over="ignore", under="ignore"):
-        a = psi ** (-1.0 / xi)
-        logpsi = np.log(psi)
-        s_mu = np.sum(omega)
-        s_sigma = n / sg - np.sum(w * omega)
-        s_delta = n / (dl + 1.0) + np.sum(logabs) - np.sum(t * logabs * omega)
-        s_xi = np.sum(logpsi * (1.0 - a) / xi**2 - (t - theta.mu) * omega / xi)
-    return np.array([s_mu, s_sigma, s_delta, s_xi])
-
-
-def _psi_first(theta: BgevParams, t, w, logabs) -> np.ndarray:
-    """d psi / d theta, rows ordered like PARAM_ORDER, shape (4, n)."""
-    xi = theta.xi
-    return np.stack(
-        [
-            np.full_like(t, -xi),  # mu
-            xi * w,  # sigma
-            xi * t * logabs,  # delta
-            t - theta.mu,  # xi
-        ]
-    )
-
-
-def _psi_second(theta: BgevParams, t, w, logabs) -> np.ndarray:
-    """d^2 psi / d theta d phi, shape (4, 4, n); symmetric in the first axes."""
-    xi = theta.xi
-    n = t.size
-    out = np.zeros((4, 4, n))
-    i_mu, i_sg, i_dl, i_xi = (_IDX[k] for k in PARAM_ORDER)
-    out[i_mu, i_xi] = out[i_xi, i_mu] = -np.ones(n)
-    out[i_sg, i_dl] = out[i_dl, i_sg] = xi * w * logabs
-    out[i_sg, i_xi] = out[i_xi, i_sg] = w
-    out[i_dl, i_dl] = xi * t * logabs**2
-    out[i_dl, i_xi] = out[i_xi, i_dl] = t * logabs
-    return out
+    return kernel(theta, x, 1)[1]
 
 
 def hessian(theta: BgevParams, x) -> np.ndarray:
     """Analytic Hessian of the log-likelihood, ordered (mu, sigma, delta, xi).
 
-    Assembled from the chain rule on the per-observation kernel
-    -(1 + 1/xi)*log(psi) - psi**(-1/xi) plus the direct sigma/delta terms,
-    which keeps the matrix symmetric by construction.  NaN-filled when the
-    workspace is infeasible.
+    Exactly symmetric; NaN-filled when the evaluation is infeasible.
     """
-    x, t, w, logabs = _prepare(theta, x)
-    ws = LikelihoodWorkspace.build(theta, x)
-    if not ws.valid:
-        return np.full((4, 4), np.nan)
-    n = x.size
-    xi, sg, dl = theta.xi, theta.sigma, theta.delta
-    psi = ws.psi
-    i_xi = _IDX["xi"]
-
-    with np.errstate(over="ignore", under="ignore"):
-        u = np.log(psi)  # (n,)
-        a = np.exp(-u / xi)  # psi**(-1/xi)
-
-        p1 = _psi_first(theta, t, w, logabs)  # (4, n)
-        p2 = _psi_second(theta, t, w, logabs)  # (4, 4, n)
-
-        u1 = p1 / psi  # du/dtheta
-        u2 = p2 / psi - u1[:, None, :] * u1[None, :, :]  # d2u
-
-        e = np.zeros(4)
-        e[i_xi] = 1.0
-        # s = -u/xi, A = exp(s)
-        s1 = -u1 / xi + (u / xi**2) * e[:, None]
-        s2 = (
-            -u2 / xi
-            + (u1[:, None, :] / xi**2) * e[None, :, None]
-            + (u1[None, :, :] / xi**2) * e[:, None, None]
-            - (2.0 * u / xi**3) * e[:, None, None] * e[None, :, None]
-        )
-        a2 = a * (s1[:, None, :] * s1[None, :, :] + s2)
-
-        k2 = (
-            -(1.0 + 1.0 / xi) * u2
-            + (u1[:, None, :] / xi**2) * e[None, :, None]
-            + (u1[None, :, :] / xi**2) * e[:, None, None]
-            - (2.0 * u / xi**3) * e[:, None, None] * e[None, :, None]
-            - a2
-        )
-        h = k2.sum(axis=2)
-
-    h[_IDX["sigma"], _IDX["sigma"]] += -n / sg**2
-    h[_IDX["delta"], _IDX["delta"]] += -n / (dl + 1.0) ** 2
-    return h
+    return kernel(theta, x, 2)[2]

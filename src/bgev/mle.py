@@ -2,9 +2,12 @@
 
 The search runs in unconstrained coordinates (mu, log sigma, log(1+delta),
 xi) so the scale and bimodality constraints hold by construction; results
-are reported in natural coordinates.  Individual parameters can be pinned to
-fixed values, which is how the scale is held at 1 in simulation studies and
-how the plain GEV arises as the delta = 0 submodel.
+are reported in natural coordinates.  It is a damped Newton ascent on the
+analytic score and Hessian of ``likelihood.kernel``; Nelder-Mead, restarted
+from the original start, takes over whenever a Newton step cannot be
+completed.  Individual parameters can be pinned to fixed values, which is
+how the scale is held at 1 in simulation studies and how the plain GEV
+arises as the delta = 0 submodel.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distribution import sample
-from .likelihood import PARAM_ORDER, hessian, log_likelihood
+from .likelihood import PARAM_ORDER, hessian, kernel, log_likelihood
 from .neldermead import nelder_mead
 from .params import BgevParams, ParameterError
 
@@ -30,6 +33,10 @@ __all__ = [
 ]
 
 _XI_FLOOR = 1e-8  # |xi| below this is treated as infeasible (model needs xi != 0)
+_NEWTON_MAX_STEPS = 50  # a Newton run still going after this many steps hands over
+_ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
+_MAX_HALVINGS = 40  # line-search step halvings before the step counts as failed
+_MAX_DAMPINGS = 20  # tenfold damping increases before the system counts as failed
 
 
 class InfeasibleStartError(ValueError):
@@ -38,6 +45,10 @@ class InfeasibleStartError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """ftol is the Newton stopping tolerance on the predicted gain in
+    log-likelihood; ftol, xtol and max_iter are also the Nelder-Mead
+    fallback's tolerances and iteration cap."""
+
     ftol: float = 1e-8
     xtol: float = 1e-8
     max_iter: int = 5000
@@ -56,7 +67,10 @@ class FitResult:
     fim is the observed information matrix -hessian(theta_hat) in natural
     coordinates, ordered (mu, sigma, delta, xi); std_errors are the square
     roots of the diagonal of its inverse and are present only when the
-    matrix is positive definite.
+    matrix is positive definite.  stop says how the search ended: "newton"
+    for a Newton finish, otherwise the Nelder-Mead fallback's "ftol", "xtol"
+    or "max_iter"; iterations counts the steps of that method and n_eval
+    every likelihood evaluation the fit made.
     """
 
     theta_hat: BgevParams
@@ -66,6 +80,8 @@ class FitResult:
     fim: np.ndarray | None
     std_errors: np.ndarray | None
     start: BgevParams
+    n_eval: int
+    stop: str
 
 
 def _to_internal(p: BgevParams) -> np.ndarray:
@@ -91,14 +107,77 @@ def _from_internal(z: np.ndarray, fixed: dict[str, float]) -> BgevParams | None:
         return None
 
 
-def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitResult:
-    """Maximize the BGEV log-likelihood by Nelder-Mead from the given start.
+def _ascent_step(neg_h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Solve (neg_h + lam*I) s = g for the first lam in 0, c, 10c, 100c, ...
+    (c = 1e-3 * max|diag(neg_h)|) at which Cholesky succeeds; None when
+    none does."""
+    eye = np.eye(g.size)
+    lam = 0.0
+    floor = 1e-3 * max(1.0, float(np.max(np.abs(np.diag(neg_h)))))
+    for _ in range(_MAX_DAMPINGS):
+        m = neg_h + lam * eye
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            lam = max(10.0 * lam, floor)
+            continue
+        return np.linalg.solve(m, g), lam
+    return None
 
-    The start must be feasible (finite log-likelihood) and the sample must
-    hold at least 8 observations.  Non-convergence within the iteration cap
-    is reported through the converged flag, never raised; the best point
-    seen is still returned and its -2 log-likelihood never exceeds the
-    start's.
+
+def _newton(evaluate, z: np.ndarray, free_idx: list[int], ftol: float):
+    """Damped Newton ascent from z over the free internal coordinates.
+
+    evaluate(z, order) returns (theta, kernel output) at the free coordinates
+    z, or (None, -inf) where z maps outside the parameter space.  Returns
+    (theta, ll, hessian, steps) at the first iterate whose undamped Newton
+    decrement g.s is below 2*ftol, or None when a derivative is non-finite,
+    no damping makes the system positive definite, the line search fails or
+    the step cap is reached.
+    """
+    for steps in range(_NEWTON_MAX_STEPS):
+        theta, out = evaluate(z, 2)
+        if theta is None:
+            return None
+        ll, g, h = out
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            return None
+        # chain rule into (mu, log sigma, log1p delta, xi)
+        jac = np.array([1.0, theta.sigma, 1.0 + theta.delta, 1.0])
+        g_z = jac * g
+        h_z = jac[:, None] * h * jac
+        h_z[1, 1] += g_z[1]
+        h_z[2, 2] += g_z[2]
+        g_z = g_z[free_idx]
+        step = _ascent_step(-h_z[np.ix_(free_idx, free_idx)], g_z)
+        if step is None:
+            return None
+        s, lam = step
+        slope = float(g_z @ s)
+        if lam == 0.0 and slope < 2.0 * ftol:
+            return theta, ll, h, steps
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            z_try = z + alpha * s
+            if evaluate(z_try, 0)[1] >= ll + _ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            return None
+        z = z_try
+    return None
+
+
+def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitResult:
+    """Maximize the BGEV log-likelihood from the given start.
+
+    Damped Newton on the analytic score and Hessian runs first; when it
+    cannot finish, Nelder-Mead runs from the same start with the options'
+    tolerances and iteration cap.  The start must be feasible (finite
+    log-likelihood) and the sample must hold at least 8 observations.
+    Non-convergence within the iteration cap is reported through the
+    converged flag, never raised; the best point seen is still returned and
+    its -2 log-likelihood never exceeds the start's.
     """
     opts = opts or OptimizerOptions()
     x = np.asarray(x, dtype=float)
@@ -107,8 +186,8 @@ def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitRe
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
 
-    f0 = log_likelihood(start, x)
-    if not np.isfinite(f0):
+    n_eval = 1
+    if not np.isfinite(kernel(start, x, 0)):
         raise InfeasibleStartError(
             "starting parameters give zero likelihood (data outside their support)"
         )
@@ -133,31 +212,42 @@ def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitRe
         else:
             z_base[i] = val
 
-    def objective(z_free: np.ndarray) -> float:
+    def evaluate(z_free: np.ndarray, order: int):
+        nonlocal n_eval
         z = z_base.copy()
         z[free_idx] = z_free
         theta = _from_internal(z, fixed_internal)
         if theta is None:
-            return np.inf
-        return -log_likelihood(theta, x)
+            return None, -np.inf
+        n_eval += 1
+        return theta, kernel(theta, x, order)
 
-    res = nelder_mead(
-        objective, z_base[free_idx], ftol=opts.ftol, xtol=opts.xtol, max_iter=opts.max_iter
-    )
+    newton = _newton(evaluate, z_base[free_idx], free_idx, opts.ftol)
+    if newton is not None:
+        theta_hat, ll_hat, h, iterations = newton
+        converged, stop = True, "newton"
+    else:
+        res = nelder_mead(
+            lambda z: -evaluate(z, 0)[1],
+            z_base[free_idx],
+            ftol=opts.ftol,
+            xtol=opts.xtol,
+            max_iter=opts.max_iter,
+        )
+        z_hat = z_base.copy()
+        z_hat[free_idx] = res.x
+        theta_hat = _from_internal(z_hat, fixed_internal)
+        if theta_hat is None or not np.isfinite(res.fun):
+            # optimizer never left the infeasible region; report the start itself
+            theta_hat = _from_internal(z_base, fixed_internal) or start
+        n_eval += 1
+        ll_hat, _, h = kernel(theta_hat, x, 2)
+        converged, stop, iterations = res.converged, res.stop, res.iterations
 
-    z_hat = z_base.copy()
-    z_hat[free_idx] = res.x
-    theta_hat = _from_internal(z_hat, fixed_internal)
-    if theta_hat is None or not np.isfinite(res.fun):
-        # optimizer never left the infeasible region; report the start itself
-        theta_hat = _from_internal(z_base, fixed_internal) or start
-
-    ll_hat = log_likelihood(theta_hat, x)
     fim = None
     std = None
-    h = hessian(theta_hat, x)
     if np.all(np.isfinite(h)):
-        fim = -0.5 * (h + h.T)  # observed information, symmetrized
+        fim = -h  # observed information; the kernel's Hessian is exactly symmetric
         try:
             np.linalg.cholesky(fim)  # positive definiteness gate
             std = np.sqrt(np.diag(np.linalg.inv(fim)))
@@ -167,11 +257,13 @@ def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitRe
     return FitResult(
         theta_hat=theta_hat,
         neg2loglik=-2.0 * ll_hat,
-        converged=res.converged,
-        iterations=res.iterations,
+        converged=converged,
+        iterations=iterations,
         fim=fim,
         std_errors=std,
         start=start,
+        n_eval=n_eval,
+        stop=stop,
     )
 
 

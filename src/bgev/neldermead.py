@@ -2,7 +2,9 @@
 
 Standard coefficients: reflection 1, expansion 2, contraction 0.5,
 shrink 0.5.  Convergence is declared when either the function-value spread
-over the simplex or its largest edge (sup-norm) drops below the tolerances.
+over the simplex or its largest edge (sup-norm) drops below the tolerances;
+the result's stop field names the test that fired ("ftol" or "xtol"), or
+"max_iter" when the iteration cap ended the search.
 Objective values of +inf are legal and mark infeasible proposals, which the
 ordinary reflect/contract logic then moves away from; NaN is coerced to +inf.
 """
@@ -29,6 +31,7 @@ class NelderMeadResult:
     iterations: int
     n_eval: int
     converged: bool
+    stop: str
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
@@ -64,7 +67,7 @@ def nelder_mead(
     simplex = _initial_simplex(x0)
     fvals = np.array([f(v) for v in simplex])
 
-    converged = False
+    stop = "max_iter"
     it = 0
     for it in range(1, max_iter + 1):
         order = np.argsort(fvals, kind="stable")
@@ -73,7 +76,7 @@ def nelder_mead(
         spread = fvals[-1] - fvals[0] if np.isfinite(fvals[-1]) else np.inf
         size = np.max(np.abs(simplex[1:] - simplex[0]))
         if spread < ftol or size < xtol:
-            converged = True
+            stop = "ftol" if spread < ftol else "xtol"
             break
 
         centroid = simplex[:-1].mean(axis=0)
@@ -111,5 +114,6 @@ def nelder_mead(
         fun=float(fvals[best]),
         iterations=it,
         n_eval=n_eval,
-        converged=converged,
+        converged=stop != "max_iter",
+        stop=stop,
     )

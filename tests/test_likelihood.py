@@ -3,7 +3,6 @@ import pytest
 
 from bgev import (
     BgevParams,
-    LikelihoodWorkspace,
     gev_logpdf,
     hessian,
     log_likelihood,
@@ -11,6 +10,7 @@ from bgev import (
     sample,
     score,
 )
+from bgev.likelihood import kernel
 from tests.conftest import random_params
 
 NAMES = ("mu", "sigma", "delta", "xi")
@@ -80,13 +80,13 @@ def test_infeasible_sentinels():
     assert np.isfinite(log_likelihood(p, at_origin))
 
 
-def test_workspace_validity_flags(rng):
+def test_kernel_feasibility(rng):
     p = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
     x = sample(40, p, rng)
-    ws = LikelihoodWorkspace.build(p, x)
-    assert ws.valid and np.all(ws.psi > 0)
-    ws_bad = LikelihoodWorkspace.build(BgevParams(xi=5.0, mu=3.0, sigma=1.0, delta=2.0), x)
-    assert not ws_bad.valid
+    ll, g, h = kernel(p, x, 2)
+    assert np.isfinite(ll) and np.all(np.isfinite(g)) and np.all(np.isfinite(h))
+    ll_bad, g_bad, h_bad = kernel(BgevParams(xi=5.0, mu=3.0, sigma=1.0, delta=2.0), x, 2)
+    assert ll_bad == -np.inf and np.all(np.isnan(g_bad)) and np.all(np.isnan(h_bad))
 
 
 def test_score_matches_finite_differences(rng):

@@ -1,0 +1,190 @@
+"""Property tests of the fused likelihood kernel over the admissible space.
+
+Parameters range over both signs of xi up to |xi| = 5, -1 < delta <= 5 and
+a wide band of scales and locations.  Data are placed inside the support
+through the GEV variable A = psi**(-1/xi), drawn over [0.02, 5] (cdf values
+between 0.007 and 0.98), so every observation is feasible while psi itself
+ranges from about 1e-8 to 1e8 across the parameter space.  Finite-difference
+steps are cut so that no observation's psi moves by more than a small
+fraction, and the tolerances carry the rounding noise of the order-0 sums.
+"""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bgev import BgevParams, pdf, sample, transform_inverse
+from bgev.likelihood import kernel
+
+EPS = np.finfo(float).eps
+PROPERTY = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+xis = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(math.log(0.05), math.log(5.0))).map(
+    lambda sv: sv[0] * math.exp(sv[1])
+)
+params = st.builds(
+    BgevParams,
+    xi=xis,
+    mu=st.floats(-3.0, 3.0),
+    sigma=st.floats(math.log(0.2), math.log(5.0)).map(math.exp),
+    delta=st.floats(-0.95, 5.0),
+)
+cases = st.tuples(params, st.integers(8, 60), st.integers(0, 2**32 - 1))
+
+
+def interior_sample(p: BgevParams, n: int, seed: int) -> np.ndarray:
+    a = np.exp(np.random.default_rng(seed).uniform(math.log(0.02), math.log(5.0), n))
+    t = p.mu + (a ** (-p.xi) - 1.0) / p.xi
+    return np.asarray(transform_inverse(t, p.sigma, p.delta))
+
+
+def as_vector(p: BgevParams) -> np.ndarray:
+    return np.array([p.mu, p.sigma, p.delta, p.xi])
+
+
+def shifted(p: BgevParams, steps: dict[int, float]) -> BgevParams:
+    v = as_vector(p)
+    for i, h in steps.items():
+        v[i] += h
+    return BgevParams(mu=v[0], sigma=v[1], delta=v[2], xi=v[3])
+
+
+def psi_and_sensitivity(p: BgevParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi per observation and d psi / d theta, shape (4, n)."""
+    ax = np.abs(x)
+    logx = np.log(ax)
+    t = p.sigma * x * ax**p.delta
+    psi = 1.0 + p.xi * (t - p.mu)
+    dpsi = np.stack([np.full_like(t, -p.xi), p.xi * t / p.sigma, p.xi * t * logx, t - p.mu])
+    return psi, dpsi
+
+
+def fd_steps(p: BgevParams, x: np.ndarray, frac: float) -> np.ndarray:
+    """Per-parameter steps that move no observation's psi by more than frac
+    of itself, and no parameter by more than frac of max(1, |theta|); delta
+    also stays clear of -1."""
+    psi, dpsi = psi_and_sensitivity(p, x)
+    reach = np.min(psi / np.maximum(np.abs(dpsi), 1e-300), axis=1)
+    h = frac * np.minimum(np.maximum(1.0, np.abs(as_vector(p))), reach)
+    h[2] = min(h[2], frac * (1.0 + p.delta))
+    return h
+
+
+def rounding_scale(p: BgevParams, x: np.ndarray) -> float:
+    """Size of the rounding noise of an order-0 evaluation: the magnitudes of
+    its terms, plus the error of psi = 1 + xi*(t - mu) (about eps*(1 + |psi - 1|)
+    absolute) carried through log(psi) and psi**(-1/xi)."""
+    psi, _ = psi_and_sensitivity(p, x)
+    u = np.log(psi)
+    a = psi ** (-1.0 / p.xi)
+    terms = (
+        abs(math.log(p.sigma))
+        + abs(math.log1p(p.delta))
+        + np.abs(p.delta * np.log(np.abs(x)))
+        + np.abs((1.0 + 1.0 / p.xi) * u)
+        + a
+    )
+    carried = (abs(1.0 + 1.0 / p.xi) + a / abs(p.xi)) * (1.0 + np.abs(psi - 1.0)) / psi
+    return float(np.sum(terms + carried))
+
+
+@PROPERTY
+@given(cases)
+def test_order_zero_is_sum_of_log_pdf(case):
+    p, n, seed = case
+    x = interior_sample(p, n, seed)
+    ref = np.log(pdf(x, p))
+    assert np.all(np.isfinite(ref))
+    ll = kernel(p, x, 0)
+    assert abs(ll - float(np.sum(ref))) <= 1e3 * EPS * rounding_scale(p, x)
+
+
+@PROPERTY
+@given(cases)
+def test_orders_agree_and_hessian_is_symmetric(case):
+    p, n, seed = case
+    x = interior_sample(p, n, seed)
+    ll0 = kernel(p, x, 0)
+    ll1, g1 = kernel(p, x, 1)
+    ll2, g2, h = kernel(p, x, 2)
+    assert ll0 == ll1 == ll2
+    assert np.array_equal(g1, g2)
+    assert np.all(np.isfinite(h)) and np.array_equal(h, h.T)
+
+
+@PROPERTY
+@given(cases)
+def test_score_matches_central_differences(case):
+    p, n, seed = case
+    x = interior_sample(p, n, seed)
+    _, g, h = kernel(p, x, 2)
+    steps = fd_steps(p, x, 1e-6)
+    noise = 1e3 * EPS * rounding_scale(p, x)
+    for i, hi in enumerate(steps):
+        fd = (kernel(shifted(p, {i: hi}), x, 0) - kernel(shifted(p, {i: -hi}), x, 0)) / (2 * hi)
+        scale = abs(fd) + math.sqrt(abs(h[i, i])) + 1.0
+        assert abs(g[i] - fd) <= 1e-5 * scale + noise / hi, (i, g[i], fd)
+
+
+@PROPERTY
+@given(cases)
+def test_hessian_matches_central_differences(case):
+    p, n, seed = case
+    x = interior_sample(p, n, seed)
+    ll, _, h = kernel(p, x, 2)
+    steps = fd_steps(p, x, 1e-4)
+    noise = 1e3 * EPS * rounding_scale(p, x)
+    f = lambda shift: kernel(shifted(p, shift), x, 0)  # noqa: E731
+    for i, hi in enumerate(steps):
+        for j, hj in enumerate(steps):
+            if i == j:
+                fd = (f({i: hi}) - 2.0 * ll + f({i: -hi})) / hi**2
+            elif j < i:
+                continue
+            else:
+                fd = (
+                    f({i: hi, j: hj}) - f({i: hi, j: -hj}) - f({i: -hi, j: hj}) + f({i: -hi, j: -hj})
+                ) / (4.0 * hi * hj)
+            scale = abs(fd) + math.sqrt(abs(h[i, i] * h[j, j])) + 1.0
+            assert abs(h[i, j] - fd) <= 1e-5 * scale + noise / (hi * hj), (i, j, h[i, j], fd)
+
+
+@PROPERTY
+@given(cases, st.floats(1e-6, 2.0), st.booleans())
+def test_infeasible_theta_gives_sentinels(case, overshoot, at_origin):
+    p, n, seed = case
+    x = interior_sample(p, n, seed)
+    if at_origin and p.delta != 0.0:
+        x[0] = 0.0  # the origin is infeasible whenever delta != 0
+        bad = p
+    else:
+        # move mu so the observation nearest the support edge lands past it
+        t = p.sigma * x * np.abs(x) ** p.delta
+        k = int(np.argmin(p.xi * t))
+        bad = BgevParams(mu=float(t[k]) + (1.0 + overshoot) / p.xi, sigma=p.sigma, delta=p.delta, xi=p.xi)
+    assert kernel(bad, x, 0) == -np.inf
+    ll, g, h = kernel(bad, x, 2)
+    assert ll == -np.inf and np.all(np.isnan(g)) and np.all(np.isnan(h))
+
+
+@PROPERTY
+@given(params, st.integers(8, 60), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
+def test_no_runtime_warnings(p, n, seed, mu_shift):
+    # feasible and infeasible evaluations alike, at data spanning the whole
+    # support and at shifted locations (the probes a line search makes)
+    x = sample(n, p, seed)
+    probe = BgevParams(mu=p.mu + mu_shift, sigma=p.sigma, delta=p.delta, xi=p.xi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (p, probe):
+            for order in (0, 1, 2):
+                kernel(theta, x, order)

@@ -44,7 +44,13 @@ def test_nelder_mead_handles_infeasible_regions():
 def test_nelder_mead_iteration_cap():
     rosen = lambda z: float(100.0 * (z[1] - z[0] ** 2) ** 2 + (1 - z[0]) ** 2)
     res = nelder_mead(rosen, [-1.2, 1.0], max_iter=5)
-    assert not res.converged and res.iterations == 5
+    assert not res.converged and res.iterations == 5 and res.stop == "max_iter"
+
+
+def test_nelder_mead_reports_which_test_fired():
+    bowl = lambda z: float(np.sum(z**2))
+    assert nelder_mead(bowl, [3.0, -4.0], ftol=1e-8, xtol=0.0).stop == "ftol"
+    assert nelder_mead(bowl, [3.0, -4.0], ftol=0.0, xtol=1e-4).stop == "xtol"
 
 
 def test_nelder_mead_monotone_best_value():
@@ -134,6 +140,82 @@ def test_fit_mse_scale_table_two_cell():
     assert mse[0] < 3 * 0.0053 * 2
     assert mse[1] < 3 * 0.0026 * 2
     assert mse[2] < 3 * 0.0315 * 2
+
+
+# mc_study truths (xi, mu, delta), refit with sigma pinned at 1
+STUDY_TRUTHS = ((1.0, -1.0, 0.0), (0.5, 0.0, 2.0), (-0.25, 0.0, 2.0), (0.25, 1.0, -0.5))
+SIGMA_FIXED = OptimizerOptions(fixed={"sigma": 1.0})
+
+
+def study_replicate(truth: BgevParams, n: int, seed: int, r: int):
+    """Sample and "truth plus uniform(0,1)" start of replicate r, as run_cell
+    builds them for these truths: the shift is halved until the start is
+    feasible."""
+    rng = np.random.default_rng([seed, r])
+    x = sample(n, truth, rng)
+    shift = rng.random(3)
+    lam = 1.0
+    for _ in range(40):
+        start = BgevParams(
+            xi=truth.xi + lam * shift[0],
+            mu=truth.mu + lam * shift[1],
+            sigma=truth.sigma,
+            delta=truth.delta + lam * shift[2],
+        )
+        if np.isfinite(log_likelihood(start, x)):
+            return x, start
+        lam *= 0.5
+    return x, truth
+
+
+def nelder_mead_neg2loglik(x, start: BgevParams) -> float:
+    """-2 log L reached by plain Nelder-Mead in (mu, log1p delta, xi) with sigma
+    pinned at 1, from the same start and with the default tolerances."""
+
+    def objective(z):
+        try:
+            theta = BgevParams(mu=z[0], sigma=1.0, delta=float(np.expm1(z[1])), xi=z[2])
+        except ValueError:
+            return np.inf
+        return -log_likelihood(theta, x)
+
+    res = nelder_mead(objective, [start.mu, np.log1p(start.delta), start.xi])
+    return 2.0 * res.fun
+
+
+@pytest.mark.parametrize("n", [50, 250, 1000])
+@pytest.mark.parametrize("truth_vec", STUDY_TRUTHS)
+def test_fit_never_worse_than_nelder_mead(truth_vec, n):
+    xi, mu, delta = truth_vec
+    truth = BgevParams(xi=xi, mu=mu, sigma=1.0, delta=delta)
+    for r in range(3):
+        x, start = study_replicate(truth, n, seed=4100 + n, r=r)
+        res = fit_mle(x, start, SIGMA_FIXED)
+        assert res.neg2loglik <= nelder_mead_neg2loglik(x, start) + 1e-6
+
+
+def test_newton_finish_diagnostics():
+    truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
+    x = sample(250, truth, seed=8)
+    res = fit_mle(x, truth, SIGMA_FIXED)
+    assert res.converged and res.stop == "newton"
+    assert 0 < res.iterations < 50
+    # the feasibility check, one evaluation with derivatives per iterate and
+    # at least one line-search probe per step
+    assert res.n_eval >= 2 + 2 * res.iterations
+
+
+def test_fallback_when_likelihood_runs_off():
+    # this replicate of the mc_study cell (0.25, 1, -0.5), n = 50 has no
+    # interior maximum with sigma pinned: the likelihood keeps rising toward
+    # xi ~ 6.9, so Newton hands over and Nelder-Mead stops at its cap
+    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
+    x, start = study_replicate(truth, 50, seed=34009, r=2)
+    res = fit_mle(x, start, SIGMA_FIXED)
+    assert not res.converged and res.stop == "max_iter"
+    assert res.iterations == SIGMA_FIXED.max_iter
+    assert res.n_eval > SIGMA_FIXED.max_iter
+    assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
 
 
 def test_fixed_parameters_respected():

@@ -1,7 +1,7 @@
 import pytest
 
 import bgev.sim as sim_mod
-from bgev import BgevParams, SimConfig, run_cell, run_suite
+from bgev import BgevParams, InfeasibleStartError, SimConfig, run_cell, run_suite
 from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table
 
 CELL = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=100, m=12, seed=5)
@@ -52,7 +52,7 @@ def test_single_cell_suite_equals_run_cell():
 
 def test_failure_budget_enforced(monkeypatch):
     def always_diverges(x, start, opts=None):
-        raise ValueError("forced failure")
+        raise InfeasibleStartError("forced failure")
 
     monkeypatch.setattr(sim_mod, "fit_mle", always_diverges)
     with pytest.raises(SimCellError):
@@ -61,6 +61,20 @@ def test_failure_budget_enforced(monkeypatch):
     reports, errors = run_suite([CELL])
     assert reports == [None]
     assert len(errors) == 1 and "replicates failed" in errors[0][1]
+
+
+def test_unexpected_fit_error_propagates(monkeypatch):
+    # only infeasible starts and inadmissible parameters count as replicate
+    # failures; any other ValueError is a defect and must surface
+    def broken(x, start, opts=None):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(sim_mod, "fit_mle", broken)
+    with pytest.raises(ValueError, match="programming error"):
+        run_cell(CELL)
+    reports, errors = run_suite([CELL])
+    assert reports == [None]
+    assert errors == [(0, "programming error")]
 
 
 def test_config_validation():

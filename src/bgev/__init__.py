@@ -33,7 +33,6 @@ from .mle import (
     FisherInformation,
     FitResult,
     InfeasibleStartError,
-    OptimizerOptions,
     default_start,
     fisher_information,
     fit_mle,
@@ -96,7 +95,6 @@ __all__ = [
     "log_likelihood",
     "score",
     "hessian",
-    "OptimizerOptions",
     "FitResult",
     "FisherInformation",
     "InfeasibleStartError",

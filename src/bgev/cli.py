@@ -52,6 +52,11 @@ def _params_from(args) -> BgevParams:
     return BgevParams(xi=args.xi, mu=args.mu, sigma=args.sigma, delta=args.delta)
 
 
+def _column(spec: str) -> int | str:
+    """A column selector: an index when the text is an integer, else a name."""
+    return int(spec) if spec.lstrip("-").isdigit() else spec
+
+
 def _resolve_input(spec: str) -> str:
     if spec.startswith("bundled:"):
         return str(bundled_path(spec.split(":", 1)[1]))
@@ -176,15 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gof = sub.add_parser("gof", help="goodness of fit of a file against given parameters")
     _add_param_flags(p_gof)
     p_gof.add_argument("--input", required=True, help="delimited file or bundled:<name>")
-    p_gof.add_argument("--value-col", default=None, help="value column name or index")
-    p_gof.add_argument("--time-col", default=None, help="time column name or index")
+    p_gof.add_argument("--value-col", type=_column, default=None, help="value column name or index")
+    p_gof.add_argument("--time-col", type=_column, default=None, help="time column name or index")
     p_gof.add_argument("--ljung-box-lags", type=int, default=10)
     p_gof.set_defaults(func=cmd_gof)
 
     p_fit = sub.add_parser("fit", help="block-maxima pipeline and BGEV-vs-GEV comparison")
     p_fit.add_argument("--input", required=True, help=f"delimited file or bundled:<name> ({'/'.join(BUNDLED)})")
-    p_fit.add_argument("--value-col", default=None)
-    p_fit.add_argument("--time-col", default=None)
+    p_fit.add_argument("--value-col", type=_column, default=None)
+    p_fit.add_argument("--time-col", type=_column, default=None)
     p_fit.add_argument("--missing", choices=("skip", "fail"), default="skip")
     p_fit.add_argument("--block-size", type=int, default=24)
     p_fit.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=True)
@@ -206,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cols = [getattr(args, name, None) for name in ("value_col", "time_col")]
-        for i, c in enumerate(cols):
-            if isinstance(c, str) and c.lstrip("-").isdigit():
-                setattr(args, ("value_col", "time_col")[i], int(c))
         return args.func(args)
     except (InputDataError, FileNotFoundError, KeyError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,8 @@ __all__ = [
     "tail_index",
 ]
 
+_CRITICAL_GRID = 1024  # bracketing grid size of critical_points
+
 
 def support(p: BgevParams) -> Support:
     """Half-line on which the density is positive.
@@ -162,14 +164,15 @@ def _bisect_y(p: BgevParams, a: float, b: float, fa: float) -> float:
     return 0.5 * (a + b)
 
 
-def critical_points(p: BgevParams, grid_size: int = 1024) -> CriticalPoints:
+def critical_points(p: BgevParams) -> CriticalPoints:
     """Stationary points of the density and a unimodal/bimodal verdict.
 
-    Roots of the stationarity equation are bracketed on a geometric grid of
-    the GEV-kernel variable covering the central 1 - 1e-12 quantile range,
-    then refined by bisection; x = 0 is appended when delta >= 2 and the
-    origin lies strictly inside the support (there the Jacobian and its
-    derivative both vanish, so the density has a flat point).  Classification
+    Roots of the stationarity equation are bracketed on a 1024-point
+    geometric grid of the GEV-kernel variable covering the central 1 - 1e-12
+    quantile range, then refined by bisection; x = 0 is appended when
+    delta >= 2 and the origin lies strictly inside the support (there the
+    Jacobian and its derivative both vanish, so the density has a flat
+    point).  Classification
     counts local maxima among the returned points; DEGENERATE flags any shape
     the procedure could not resolve.
     """
@@ -188,7 +191,7 @@ def critical_points(p: BgevParams, grid_size: int = 1024) -> CriticalPoints:
         y_hi_q = (-math.log1p(-eps_q)) ** (-p.xi)
         lo, hi = min(y_lo_q, y_hi_q), max(y_lo_q, y_hi_q)
 
-        ys = np.geomspace(lo, hi, grid_size)
+        ys = np.geomspace(lo, hi, _CRITICAL_GRID)
         gs = _stationarity_y(ys, p)
         ok = np.isfinite(gs)
 

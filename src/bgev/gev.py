@@ -13,7 +13,8 @@ __all__ = ["gev_pdf", "gev_cdf", "gev_quantile", "gev_logpdf", "gev_mode"]
 
 
 def _kernel(x, xi: float, mu: float, sigma: float):
-    """1 + xi*(x - mu)/sigma, clipped to NaN outside the support."""
+    """1 + xi*(x - mu)/sigma; the support is where it is positive, and callers
+    mask the rest."""
     x = np.asarray(x, dtype=float)
     return 1.0 + xi * (x - mu) / sigma
 

@@ -6,14 +6,15 @@ are reported in natural coordinates.  It is a damped Newton ascent on the
 analytic score and Hessian of ``likelihood.kernel``; Nelder-Mead, restarted
 from the original start, takes over whenever a Newton step cannot be
 completed.  Individual parameters can be pinned to fixed values, which is
-how the scale is held at 1 in simulation studies and how the plain GEV
-arises as the delta = 0 submodel.
+how the scale is held at its true value in simulation studies and how the
+plain GEV arises as the delta = 0 submodel.  The stopping tolerances and the
+fallback's iteration cap are module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .neldermead import nelder_mead
 from .params import BgevParams, ParameterError
 
 __all__ = [
-    "OptimizerOptions",
     "FitResult",
     "FisherInformation",
     "InfeasibleStartError",
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 _XI_FLOOR = 1e-8  # |xi| below this is treated as infeasible (model needs xi != 0)
+_FTOL = 1e-8  # Newton stop on the predicted log-likelihood gain; also Nelder-Mead's ftol
+_XTOL = 1e-8  # Nelder-Mead simplex-size tolerance
+_MAX_ITER = 5000  # Nelder-Mead iteration cap
 _NEWTON_MAX_STEPS = 50  # a Newton run still going after this many steps hands over
 _ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
 _MAX_HALVINGS = 40  # line-search step halvings before the step counts as failed
@@ -41,23 +44,6 @@ _MAX_DAMPINGS = 20  # tenfold damping increases before the system counts as fail
 
 class InfeasibleStartError(ValueError):
     """The starting point assigns zero likelihood to the data."""
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """ftol is the Newton stopping tolerance on the predicted gain in
-    log-likelihood; ftol, xtol and max_iter are also the Nelder-Mead
-    fallback's tolerances and iteration cap."""
-
-    ftol: float = 1e-8
-    xtol: float = 1e-8
-    max_iter: int = 5000
-    fixed: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        unknown = set(self.fixed) - set(PARAM_ORDER)
-        if unknown:
-            raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -125,13 +111,13 @@ def _ascent_step(neg_h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float] |
     return None
 
 
-def _newton(evaluate, z: np.ndarray, free_idx: list[int], ftol: float):
+def _newton(evaluate, z: np.ndarray, free_idx: list[int]):
     """Damped Newton ascent from z over the free internal coordinates.
 
     evaluate(z, order) returns (theta, kernel output) at the free coordinates
     z, or (None, -inf) where z maps outside the parameter space.  Returns
     (theta, ll, hessian, steps) at the first iterate whose undamped Newton
-    decrement g.s is below 2*ftol, or None when a derivative is non-finite,
+    decrement g.s is below 2*_FTOL, or None when a derivative is non-finite,
     no damping makes the system positive definite, the line search fails or
     the step cap is reached.
     """
@@ -154,7 +140,7 @@ def _newton(evaluate, z: np.ndarray, free_idx: list[int], ftol: float):
             return None
         s, lam = step
         slope = float(g_z @ s)
-        if lam == 0.0 and slope < 2.0 * ftol:
+        if lam == 0.0 and slope < 2.0 * _FTOL:
             return theta, ll, h, steps
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
@@ -168,61 +154,50 @@ def _newton(evaluate, z: np.ndarray, free_idx: list[int], ftol: float):
     return None
 
 
-def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitResult:
+def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitResult:
     """Maximize the BGEV log-likelihood from the given start.
 
+    fixed pins parameters by name (any of PARAM_ORDER, not all four) to the
+    given values, which replace the start's; the rest are optimized.
     Damped Newton on the analytic score and Hessian runs first; when it
-    cannot finish, Nelder-Mead runs from the same start with the options'
-    tolerances and iteration cap.  The start must be feasible (finite
-    log-likelihood) and the sample must hold at least 8 observations.
-    Non-convergence within the iteration cap is reported through the
-    converged flag, never raised; the best point seen is still returned and
-    its -2 log-likelihood never exceeds the start's.
+    cannot finish, Nelder-Mead runs from the same start.  The start must be
+    feasible (finite log-likelihood) and the sample must hold at least 8
+    observations.  Non-convergence within the iteration cap is reported
+    through the converged flag, never raised; the best point seen is still
+    returned and its -2 log-likelihood never exceeds the start's.
     """
-    opts = opts or OptimizerOptions()
     x = np.asarray(x, dtype=float)
     if x.size < 8:
         raise ValueError(f"need at least 8 observations, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
+    fixed = fixed or {}
+    unknown = set(fixed) - set(PARAM_ORDER)
+    if unknown:
+        raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
+    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name not in fixed]
+    if not free_idx:
+        raise ValueError("all parameters fixed, nothing to optimize")
+    start = replace(start, **fixed)  # validates the pinned values
 
     n_eval = 1
     if not np.isfinite(kernel(start, x, 0)):
         raise InfeasibleStartError(
             "starting parameters give zero likelihood (data outside their support)"
         )
-
-    z_full = _to_internal(start)
-    fixed_internal = dict(opts.fixed)
-    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name not in fixed_internal]
-    if not free_idx:
-        raise ValueError("all parameters fixed, nothing to optimize")
-
-    z_base = z_full.copy()
-    for name, val in fixed_internal.items():
-        i = PARAM_ORDER.index(name)
-        if name == "sigma":
-            if val <= 0:
-                raise ValueError("fixed sigma must be > 0")
-            z_base[i] = math.log(val)
-        elif name == "delta":
-            if val <= -1:
-                raise ValueError("fixed delta must be > -1")
-            z_base[i] = math.log1p(val)
-        else:
-            z_base[i] = val
+    z_base = _to_internal(start)
 
     def evaluate(z_free: np.ndarray, order: int):
         nonlocal n_eval
         z = z_base.copy()
         z[free_idx] = z_free
-        theta = _from_internal(z, fixed_internal)
+        theta = _from_internal(z, fixed)
         if theta is None:
             return None, -np.inf
         n_eval += 1
         return theta, kernel(theta, x, order)
 
-    newton = _newton(evaluate, z_base[free_idx], free_idx, opts.ftol)
+    newton = _newton(evaluate, z_base[free_idx], free_idx)
     if newton is not None:
         theta_hat, ll_hat, h, iterations = newton
         converged, stop = True, "newton"
@@ -230,16 +205,16 @@ def fit_mle(x, start: BgevParams, opts: OptimizerOptions | None = None) -> FitRe
         res = nelder_mead(
             lambda z: -evaluate(z, 0)[1],
             z_base[free_idx],
-            ftol=opts.ftol,
-            xtol=opts.xtol,
-            max_iter=opts.max_iter,
+            ftol=_FTOL,
+            xtol=_XTOL,
+            max_iter=_MAX_ITER,
         )
         z_hat = z_base.copy()
         z_hat[free_idx] = res.x
-        theta_hat = _from_internal(z_hat, fixed_internal)
+        theta_hat = _from_internal(z_hat, fixed)
         if theta_hat is None or not np.isfinite(res.fun):
             # optimizer never left the infeasible region; report the start itself
-            theta_hat = _from_internal(z_base, fixed_internal) or start
+            theta_hat = start
         n_eval += 1
         ll_hat, _, h = kernel(theta_hat, x, 2)
         converged, stop, iterations = res.converged, res.stop, res.iterations

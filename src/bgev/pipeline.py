@@ -14,6 +14,7 @@ import csv as _csv
 import io
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from .distribution import cdf as bgev_cdf
 from .distribution import pdf as bgev_pdf
 from .distribution import quantile as bgev_quantile
 from .gof import gof_report
-from .mle import FitResult, InfeasibleStartError, OptimizerOptions, default_start, fit_mle
-from .params import BgevParams, GevParams, format_float
+from .mle import FitResult, InfeasibleStartError, default_start, fit_mle
+from .params import BgevParams, format_float
 
 __all__ = [
     "InputDataError",
@@ -76,12 +77,12 @@ class BlockMaxima:
     dropped: int = 0
 
 
-def _looks_numeric(token: str) -> bool:
+def _parse_float(token: str) -> float | None:
+    """float(token), or None where the token is not a number."""
     try:
-        float(token)
-        return True
+        return float(token)
     except ValueError:
-        return False
+        return None
 
 
 def _resolve_column(sel, names: list[str], default: int) -> int:
@@ -104,12 +105,13 @@ def ingest(
 ) -> SeriesFile:
     """Read a delimited text file (comma or tab) into a series.
 
-    The header row is optional and detected by whether the first row parses
-    as numbers.  With two or more columns the first defaults to timestamps
-    and the last to values; both defaults can be overridden by name or
-    index.  Missing or non-numeric values are skipped and counted under the
-    "skip" policy and abort under "fail".  When numeric timestamps are
-    present they must be strictly increasing.
+    The header row is optional: the first row is one iff some non-blank
+    token in it does not parse as a number.  With two or more columns the
+    first defaults to timestamps and the last to values; both defaults can
+    be overridden by name or index.  Missing, non-numeric and non-finite
+    (nan, inf) values are skipped and counted under the "skip" policy and
+    abort under "fail".  When numeric timestamps are present they must be
+    strictly increasing.
     """
     if missing not in ("skip", "fail"):
         raise InputDataError(f"missing-value policy must be 'skip' or 'fail', got {missing!r}")
@@ -119,19 +121,22 @@ def ingest(
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
 
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise InputDataError(f"{path}: file is empty")
-    rows = [r for r in _csv.reader(io.StringIO(text), delimiter="\t" if "\t" in lines[0] else ",") if r]
-    if not rows:
+    delimiter = "\t" if "\t" in text.partition("\n")[0] else ","
+    # row i is line i + 1 (a blank line reads as []); no field of a series
+    # file is a quoted one spanning lines
+    rows = list(_csv.reader(io.StringIO(text), delimiter=delimiter))
+    first = next((i for i, r in enumerate(rows) if r), None)
+    if first is None:
         raise InputDataError(f"{path}: file holds no data rows")
 
-    ncol = len(rows[0])
-    has_header = not all(_looks_numeric(tok) or tok.strip() == "" for tok in rows[0])
+    ncol = len(rows[first])
+    has_header = any(tok.strip() and _parse_float(tok) is None for tok in rows[first])
     if has_header:
-        names = [tok.strip() for tok in rows[0]]
-        rows = rows[1:]
-        if not rows:
+        names = [tok.strip() for tok in rows[first]]
+        first += 1
+        if not any(islice(rows, first, None)):
             raise InputDataError(f"{path}: header only, no data rows")
     else:
         names = [str(i) for i in range(ncol)]
@@ -148,23 +153,30 @@ def ingest(
     times: list[str] = []
     values: list[float] = []
     skipped = 0
-    for lineno, row in enumerate(rows, start=2 if has_header else 1):
+    for lineno, row in enumerate(islice(rows, first, None), start=first + 1):
+        if not row:
+            continue
         tok = row[v_idx].strip() if v_idx < len(row) else ""
-        if tok == "" or not _looks_numeric(tok):
+        v = _parse_float(tok)
+        if v is None or not math.isfinite(v):
             if missing == "fail":
-                raise InputDataError(f"{path}:{lineno}: non-numeric value {tok!r}")
+                raise InputDataError(f"{path}:{lineno}: value {tok!r} is missing or not a finite number")
             skipped += 1
             continue
-        values.append(float(tok))
+        values.append(v)
         times.append(row[t_idx].strip() if t_idx is not None and t_idx < len(row) else str(len(values) - 1))
 
     if not values:
         raise InputDataError(f"{path}: no numeric values found in column {names[v_idx]!r}")
 
-    if t_idx is not None and all(_looks_numeric(t) for t in times):
-        tv = np.array([float(t) for t in times])
-        if np.any(np.diff(tv) <= 0):
-            raise InputDataError(f"{path}: timestamps are not strictly increasing")
+    if t_idx is not None:
+        try:
+            tv = np.array([float(t) for t in times])
+        except ValueError:
+            pass  # non-numeric timestamps carry no order to check
+        else:
+            if np.any(np.diff(tv) <= 0):
+                raise InputDataError(f"{path}: timestamps are not strictly increasing")
 
     return SeriesFile(
         timestamps=tuple(times),
@@ -236,11 +248,6 @@ class ComparisonReport:
     n: int
 
 
-def _gev_to_internal(g: GevParams) -> BgevParams:
-    # GEV(xi, loc, scale) == BGEV(xi, loc/scale, 1/scale, 0)
-    return BgevParams(xi=g.xi, mu=g.mu / g.sigma, sigma=1.0 / g.sigma, delta=0.0)
-
-
 def _assess(name: str, fit: FitResult, x: np.ndarray, as_gev: bool) -> ModelAssessment:
     th = fit.theta_hat
     gof = gof_report(x, lambda v: bgev_cdf(v, th), lambda q: bgev_quantile(q, th))
@@ -264,52 +271,38 @@ def _assess(name: str, fit: FitResult, x: np.ndarray, as_gev: bool) -> ModelAsse
     )
 
 
-def _moment_gev_start(x: np.ndarray) -> GevParams:
-    # Gumbel-style moment matching; a serviceable optimizer start
+def _gev_moment_start(x: np.ndarray) -> BgevParams:
+    # Gumbel-style moment matching for GEV(-0.1, loc, scale), a serviceable
+    # optimizer start; GEV(xi, loc, scale) == BGEV(xi, loc/scale, 1/scale, 0)
     sd = float(np.std(x, ddof=1))
     scale = max(sd * math.sqrt(6.0) / math.pi, 1e-6)
     loc = float(np.mean(x)) - 0.5772 * scale
-    return GevParams(xi=-0.1, mu=loc, sigma=scale)
+    return BgevParams(xi=-0.1, mu=loc / scale, sigma=1.0 / scale, delta=0.0)
 
 
-def fit_and_compare(
-    b: BlockMaxima,
-    bgev_start: BgevParams | None = None,
-    gev_start: GevParams | None = None,
-    opts: OptimizerOptions | None = None,
-) -> ComparisonReport:
+def fit_and_compare(b: BlockMaxima, bgev_start: BgevParams | None = None) -> ComparisonReport:
     """Fit both models to the block maxima and collect KS/AD/-2l per model.
 
-    The GEV fit pins delta to 0; the BGEV fit is run from its own start and
-    again from the GEV solution, keeping the better optimum, so a converged
-    BGEV never scores worse than the nested GEV.  A fit that fails to
-    converge is reported as such without aborting the other model.
+    The GEV fit pins delta to 0 and starts from a moment match; the BGEV fit
+    is run from its own start (default_start unless given) and again from
+    the GEV solution, keeping the better optimum, so a converged BGEV never
+    scores worse than the nested GEV.  A fit that fails to converge is
+    reported as such without aborting the other model.
     """
     x = np.asarray(b.maxima, dtype=float)
-    opts = opts or OptimizerOptions()
-    gev_opts = OptimizerOptions(
-        ftol=opts.ftol, xtol=opts.xtol, max_iter=opts.max_iter, fixed={**opts.fixed, "delta": 0.0}
-    )
-
-    g0 = gev_start or _moment_gev_start(x)
     try:
-        gev_fit = fit_mle(x, _gev_to_internal(g0), gev_opts)
+        gev_fit = fit_mle(x, _gev_moment_start(x), {"delta": 0.0})
     except InfeasibleStartError:
-        gev_fit = fit_mle(x, default_start(x), gev_opts)
+        gev_fit = fit_mle(x, default_start(x), {"delta": 0.0})
 
     b0 = bgev_start or default_start(x)
     candidates: list[FitResult] = []
     try:
-        candidates.append(fit_mle(x, b0, opts))
+        candidates.append(fit_mle(x, b0))
     except InfeasibleStartError:
         pass
-    warm = BgevParams(
-        xi=gev_fit.theta_hat.xi,
-        mu=gev_fit.theta_hat.mu,
-        sigma=gev_fit.theta_hat.sigma,
-        delta=0.0,
-    )
-    candidates.append(fit_mle(x, warm, opts))
+    # warm start at the GEV optimum, whose pinned delta is exactly 0.0
+    candidates.append(fit_mle(x, gev_fit.theta_hat))
     bgev_fit = min(candidates, key=lambda r: r.neg2loglik)
 
     bgev_row = _assess("BGEV", bgev_fit, x, as_gev=False)
@@ -323,6 +316,8 @@ def fit_and_compare(
 
 # ----------------------------------------------------------------------------
 # plot data
+
+_GRID_POINTS = 512  # density.csv grid size
 
 
 def _fd_bin_count(x: np.ndarray) -> int:
@@ -340,13 +335,12 @@ def emit_plot_data(
     b: BlockMaxima,
     out_dir,
     bins: int | None = None,
-    grid_points: int = 512,
 ) -> list[Path]:
     """Write histogram, fitted-density and QQ plot data as CSV files.
 
     histogram.csv: bin_left, bin_right, count, density (Freedman-Diaconis
-    bin count unless overridden); density.csv: a grid over the data range
-    with both fitted densities; qq_bgev.csv / qq_gev.csv: one
+    bin count unless overridden); density.csv: a 512-point grid over the
+    data range with both fitted densities; qq_bgev.csv / qq_gev.csv: one
     (theoretical, empirical) pair per observation.  Output is deterministic
     for fixed inputs.
     """
@@ -366,7 +360,7 @@ def emit_plot_data(
     written.append(hist_path)
 
     pad = 0.05 * (x.max() - x.min())
-    grid = np.linspace(x.min() - pad, x.max() + pad, grid_points)
+    grid = np.linspace(x.min() - pad, x.max() + pad, _GRID_POINTS)
     pdf_b = np.asarray(bgev_pdf(grid, report.bgev.params_internal))
     pdf_g = np.asarray(bgev_pdf(grid, report.gev.params_internal))
     dens_path = out / "density.csv"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distribution import sample
 from .likelihood import log_likelihood
-from .mle import InfeasibleStartError, OptimizerOptions, fit_mle
+from .mle import InfeasibleStartError, fit_mle
 from .params import BgevParams, ParameterError, format_float
 
 __all__ = [
@@ -51,6 +51,7 @@ CSV_HEADER = (
 
 _DELTA_MARGIN = 1e-6
 _XI_MARGIN = 1e-6
+_MAX_FAILURE_RATE = 0.2  # share of a cell's replicates that may fail before it errors
 
 
 class SimCellError(RuntimeError):
@@ -59,29 +60,18 @@ class SimCellError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One study cell: true parameters, sample size, replicate count, seed.
-
-    start_rule is either the string "true_plus_uniform" (the default: each
-    free coordinate of the start is the true value plus an independent
-    uniform(0,1) draw, shrunk toward the truth if that lands outside the
-    feasible set for the replicate's data) or an explicit BgevParams used
-    verbatim for every replicate.
-    """
+    """One study cell: true parameters, sample size, replicate count, seed."""
 
     truth: BgevParams
     n: int
     m: int = 100
     seed: int = 0
-    start_rule: str | BgevParams = "true_plus_uniform"
-    max_failure_rate: float = 0.2
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.n < 8:
             raise ValueError("n must be >= 8")
-        if isinstance(self.start_rule, str) and self.start_rule != "true_plus_uniform":
-            raise ValueError(f"unknown start rule {self.start_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +114,15 @@ def _project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevPara
 def run_cell(cfg: SimConfig) -> SimReport:
     """Run every replicate of one cell and aggregate the estimates.
 
+    Each replicate is refitted with sigma pinned to its true value, from a
+    start whose free coordinates are the true values plus independent
+    uniform(0,1) draws, shrunk toward the truth until the replicate's data
+    are inside its support (the truth itself if no shrink gets there).
     Non-convergent or infeasible replicates are excluded from the moments
-    and counted; exceeding max_failure_rate * m of them raises SimCellError.
+    and counted; more than a fifth of m of them raises SimCellError.
     """
     t0 = time.perf_counter()
     truth = cfg.truth
-    opts = OptimizerOptions(fixed={"sigma": truth.sigma})
     estimates: list[tuple[float, float, float]] = []
     failures = 0
 
@@ -138,22 +131,17 @@ def run_cell(cfg: SimConfig) -> SimReport:
         x = sample(cfg.n, truth, rng)
         shift = rng.random(len(FREE_PARAMS))
 
-        if isinstance(cfg.start_rule, BgevParams):
-            start = cfg.start_rule
-        else:
-            start = None
-            lam = 1.0
-            for _ in range(40):
-                cand = _project_start(truth, shift, lam)
-                if np.isfinite(log_likelihood(cand, x)):
-                    start = cand
-                    break
-                lam *= 0.5
-            if start is None:
-                start = truth
+        start = truth
+        lam = 1.0
+        for _ in range(40):
+            cand = _project_start(truth, shift, lam)
+            if np.isfinite(log_likelihood(cand, x)):
+                start = cand
+                break
+            lam *= 0.5
 
         try:
-            res = fit_mle(x, start, opts)
+            res = fit_mle(x, start, {"sigma": truth.sigma})
         except (InfeasibleStartError, ParameterError):
             failures += 1
             continue
@@ -163,9 +151,9 @@ def run_cell(cfg: SimConfig) -> SimReport:
         th = res.theta_hat
         estimates.append((th.xi, th.mu, th.delta))
 
-    if failures > cfg.max_failure_rate * cfg.m:
+    if failures > _MAX_FAILURE_RATE * cfg.m:
         raise SimCellError(
-            f"{failures}/{cfg.m} replicates failed (budget {cfg.max_failure_rate:.0%}) "
+            f"{failures}/{cfg.m} replicates failed (budget {_MAX_FAILURE_RATE:.0%}) "
             f"for cell truth={truth}, n={cfg.n}, seed={cfg.seed}"
         )
     est = np.asarray(estimates)

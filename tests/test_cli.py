@@ -123,6 +123,30 @@ def test_empty_input_exits_2_without_traceback(tmp_path, command):
     assert "empty" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_fit_missing_fail_on_non_finite_value(tmp_path):
+    rows = "".join(f"{i},{'nan' if i == 30 else 1.0 + (i * 7) % 11}\n" for i in range(48))
+    (tmp_path / "nf.csv").write_text("t,v\n" + rows)
+    res = subprocess.run(
+        [sys.executable, "-m", "bgev.cli", "fit", "--input", "nf.csv", "--missing", "fail"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert res.returncode == 2
+    assert "nf.csv:32" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_fit_value_col_selectors(tmp_path, capsys):
+    outputs = []
+    for sel in ("1", "value"):
+        d = tmp_path / sel
+        rc, _, _ = run_cli(["fit", "--input", "bundled:bimodal", "--value-col", sel, "--out-dir", str(d)], capsys)
+        assert rc == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(d.iterdir())})
+    assert outputs[0] == outputs[1]
+    for sel in ("-1", "nope"):
+        rc, _, err = run_cli(["fit", "--input", "bundled:bimodal", "--value-col", sel, "--out-dir", str(tmp_path / "x")], capsys)
+        assert rc == 2 and "error" in err
+
+
 def test_fit_unknown_bundle(capsys):
     rc, _, err = run_cli(["fit", "--input", "bundled:mystery"], capsys)
     assert rc == 2

@@ -103,10 +103,10 @@ def test_score_matches_finite_differences(rng):
 
 def test_score_small_at_optimum_of_large_sample():
     truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
-    from bgev import OptimizerOptions, fit_mle
+    from bgev import fit_mle
 
     x = sample(20_000, truth, seed=123)
-    res = fit_mle(x, truth, OptimizerOptions())
+    res = fit_mle(x, truth)
     g = score(res.theta_hat, x)
     # per-observation gradient shrinks like 1/sqrt(n) at the MLE
     assert np.max(np.abs(g)) / x.size < 0.05
@@ -150,11 +150,11 @@ def test_hessian_matches_fd_of_score(rng):
 
 
 def test_hessian_negative_definite_at_clean_optimum():
-    from bgev import OptimizerOptions, fit_mle
+    from bgev import fit_mle
 
     truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
     x = sample(2000, truth, seed=9)
-    res = fit_mle(x, truth, OptimizerOptions())
+    res = fit_mle(x, truth)
     h = hessian(res.theta_hat, x)
     eig = np.linalg.eigvalsh(0.5 * (h + h.T))
     assert np.all(eig < 0)

@@ -5,13 +5,14 @@ from scipy import stats
 from bgev import (
     BgevParams,
     InfeasibleStartError,
-    OptimizerOptions,
+    ParameterError,
     default_start,
     fisher_information,
     fit_mle,
     log_likelihood,
     sample,
 )
+from bgev import mle
 from bgev.neldermead import nelder_mead
 
 
@@ -106,7 +107,7 @@ def test_fit_recovers_table_one_cell():
             start = cand
             break
         lam *= 0.5
-    res = fit_mle(x, start, OptimizerOptions(fixed={"sigma": 1.0}))
+    res = fit_mle(x, start, {"sigma": 1.0})
     assert res.converged
     assert abs(res.theta_hat.xi - 1.0) < 0.15
     assert abs(res.theta_hat.mu + 1.0) < 0.15
@@ -128,9 +129,9 @@ def test_fit_mse_scale_table_two_cell():
             delta=truth.delta + rng.random(),
         )
         try:
-            res = fit_mle(x, start, OptimizerOptions(fixed={"sigma": 1.0}))
+            res = fit_mle(x, start, {"sigma": 1.0})
         except InfeasibleStartError:
-            res = fit_mle(x, truth, OptimizerOptions(fixed={"sigma": 1.0}))
+            res = fit_mle(x, truth, {"sigma": 1.0})
         if res.converged:
             ests.append([res.theta_hat.xi, res.theta_hat.mu, res.theta_hat.delta])
     ests = np.asarray(ests)
@@ -144,7 +145,7 @@ def test_fit_mse_scale_table_two_cell():
 
 # mc_study truths (xi, mu, delta), refit with sigma pinned at 1
 STUDY_TRUTHS = ((1.0, -1.0, 0.0), (0.5, 0.0, 2.0), (-0.25, 0.0, 2.0), (0.25, 1.0, -0.5))
-SIGMA_FIXED = OptimizerOptions(fixed={"sigma": 1.0})
+SIGMA_FIXED = {"sigma": 1.0}
 
 
 def study_replicate(truth: BgevParams, n: int, seed: int, r: int):
@@ -213,17 +214,33 @@ def test_fallback_when_likelihood_runs_off():
     x, start = study_replicate(truth, 50, seed=34009, r=2)
     res = fit_mle(x, start, SIGMA_FIXED)
     assert not res.converged and res.stop == "max_iter"
-    assert res.iterations == SIGMA_FIXED.max_iter
-    assert res.n_eval > SIGMA_FIXED.max_iter
+    assert res.iterations == mle._MAX_ITER
+    assert res.n_eval > mle._MAX_ITER
     assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
 
 
 def test_fixed_parameters_respected():
     truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
     x = sample(200, truth, seed=31)
-    res = fit_mle(x, truth, OptimizerOptions(fixed={"sigma": 1.0, "delta": 2.0}))
+    res = fit_mle(x, truth, {"sigma": 1.0, "delta": 2.0})
     assert res.theta_hat.sigma == 1.0
     assert res.theta_hat.delta == 2.0
+
+
+@pytest.mark.parametrize(
+    "fixed, error",
+    [
+        ({"scale": 1.0}, ValueError),
+        ({"sigma": 0.0}, ParameterError),
+        ({"delta": -1.0}, ParameterError),
+        ({"mu": 0.0, "sigma": 1.0, "delta": 2.0, "xi": 0.5}, ValueError),
+    ],
+)
+def test_fixed_parameters_rejected(fixed, error):
+    truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
+    x = sample(50, truth, seed=31)
+    with pytest.raises(error):
+        fit_mle(x, truth, fixed)
 
 
 def test_infeasible_start_raises():

@@ -5,7 +5,6 @@ import pytest
 
 from bgev import (
     BgevParams,
-    GevParams,
     InputDataError,
     block_maxima,
     cdf,
@@ -50,6 +49,24 @@ def test_ingest_fail_policy_raises(tmp_path):
     f = write(tmp_path, "c.csv", "t,v\n1,1\n2,\n")
     with pytest.raises(InputDataError):
         ingest(f, missing="fail")
+
+
+def test_ingest_non_finite_values_are_missing(tmp_path):
+    body = "t,v\n1,1\n\n2,nan\n3,inf\n4,-Infinity\n5,5\n"
+    s = ingest(write(tmp_path, "nf.csv", body))
+    assert s.values.tolist() == [1.0, 5.0]
+    assert s.skipped == 3
+    # the blank line 3 still counts toward the reported line number
+    with pytest.raises(InputDataError, match=r"nf\.csv:4: value 'nan'"):
+        ingest(tmp_path / "nf.csv", missing="fail")
+
+
+def test_ingest_headerless_first_row_with_nan(tmp_path):
+    # nan parses as a number, so a first row "1,nan" is data, not a header
+    s = ingest(write(tmp_path, "hn.csv", "1,nan\n2,2.5\n3,3.5\n"))
+    assert s.time_column == "0" and s.value_column == "1"
+    assert s.values.tolist() == [2.5, 3.5]
+    assert s.skipped == 1
 
 
 def test_ingest_single_column_headerless(tmp_path):
@@ -199,12 +216,6 @@ def test_nesting_on_bundled_data():
     rep = fit_and_compare(b, bgev_start=START_PRESETS["wind"])
     assert rep.bgev.neg2loglik <= rep.gev.neg2loglik + 1e-6
     assert rep.bgev.ks < rep.gev.ks
-
-
-def test_explicit_gev_start_accepted(bimodal_fit):
-    _, b = bimodal_fit
-    rep = fit_and_compare(b, gev_start=GevParams(xi=-0.2, mu=0.0, sigma=1.0))
-    assert rep.gev.converged
 
 
 # ----------------------------------------------------------------------- plot data

@@ -19,7 +19,7 @@ def test_report_moment_identity():
 
 def test_single_replicate_custom_start_well_formed():
     truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
-    cfg = SimConfig(truth=truth, n=5000, m=1, seed=3, start_rule=truth)
+    cfg = SimConfig(truth=truth, n=5000, m=1, seed=3)
     rep = run_cell(cfg)
     assert rep.replicates_used == 1 and rep.failures == 0
     for k in ("xi", "mu", "delta"):
@@ -51,7 +51,7 @@ def test_single_cell_suite_equals_run_cell():
 
 
 def test_failure_budget_enforced(monkeypatch):
-    def always_diverges(x, start, opts=None):
+    def always_diverges(x, start, fixed=None):
         raise InfeasibleStartError("forced failure")
 
     monkeypatch.setattr(sim_mod, "fit_mle", always_diverges)
@@ -66,7 +66,7 @@ def test_failure_budget_enforced(monkeypatch):
 def test_unexpected_fit_error_propagates(monkeypatch):
     # only infeasible starts and inadmissible parameters count as replicate
     # failures; any other ValueError is a defect and must surface
-    def broken(x, start, opts=None):
+    def broken(x, start, fixed=None):
         raise ValueError("programming error")
 
     monkeypatch.setattr(sim_mod, "fit_mle", broken)
@@ -82,8 +82,6 @@ def test_config_validation():
         SimConfig(truth=CELL.truth, n=4, m=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(truth=CELL.truth, n=100, m=0, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(truth=CELL.truth, n=100, m=10, seed=1, start_rule="warm")
 
 
 def test_table_rendering_contains_cells():

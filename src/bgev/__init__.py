@@ -40,7 +40,6 @@ from .mle import (
 from .params import (
     BgevParams,
     CriticalPoints,
-    GevParams,
     Modality,
     ParameterError,
     Support,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BgevParams",
-    "GevParams",
     "Support",
     "SupportKind",
     "CriticalPoints",

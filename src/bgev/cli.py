@@ -21,7 +21,7 @@ from .data import BUNDLED, bundled_path
 from .distribution import cdf, pdf, quantile, sample
 from .gof import ad_statistic, ks_statistic, ljung_box
 from .mle import InfeasibleStartError
-from .params import BgevParams, ParameterError, format_float
+from .params import BgevParams, ParameterError, csv_text, write_text
 from .pipeline import (
     START_PRESETS,
     InputDataError,
@@ -65,28 +65,24 @@ def _resolve_input(spec: str) -> str:
 
 def cmd_eval(args) -> int:
     p = _params_from(args)
-    out = sys.stdout
-    if args.x is not None:
-        out.write("x,pdf,cdf\n")
-        for v in args.x:
-            out.write(f"{format_float(v)},{format_float(float(pdf(v, p)))},{format_float(float(cdf(v, p)))}\n")
-    if args.q is not None:
-        out.write("q,quantile\n")
-        for v in args.q:
-            out.write(f"{format_float(v)},{format_float(float(quantile(v, p)))}\n")
     if args.x is None and args.q is None:
         raise InputDataError("nothing to evaluate: pass --x and/or --q")
+    rows: list = []
+    if args.x is not None:
+        rows += [("x", "pdf", "cdf"), *((v, float(pdf(v, p)), float(cdf(v, p))) for v in args.x)]
+    if args.q is not None:
+        rows += [("q", "quantile"), *((v, float(quantile(v, p))) for v in args.q)]
+    sys.stdout.write(csv_text(rows))
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     p = _params_from(args)
-    draws = sample(args.n, p, args.seed)
-    lines = "\n".join(format_float(v) for v in draws) + "\n"
+    text = csv_text([v] for v in sample(args.n, p, args.seed).tolist())
     if args.out:
-        Path(args.out).write_text(lines, encoding="utf-8")
+        write_text(args.out, text)
     else:
-        sys.stdout.write(lines)
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -97,12 +93,15 @@ def cmd_gof(args) -> int:
     ks = ks_statistic(x, lambda v: cdf(v, p))
     ad = ad_statistic(x, lambda v: cdf(v, p))
     lb = ljung_box(x, lags=args.ljung_box_lags)
-    sys.stdout.write(f"n,{x.size}\n")
-    sys.stdout.write(f"ks,{format_float(ks)}\n")
-    sys.stdout.write(f"ad,{format_float(ad)}\n")
-    sys.stdout.write(f"ljung_box_statistic,{format_float(lb.statistic)}\n")
-    sys.stdout.write(f"ljung_box_lags,{lb.lags}\n")
-    sys.stdout.write(f"ljung_box_p_value,{format_float(lb.p_value)}\n")
+    rows = [
+        ("n", x.size),
+        ("ks", ks),
+        ("ad", ad),
+        ("ljung_box_statistic", lb.statistic),
+        ("ljung_box_lags", lb.lags),
+        ("ljung_box_p_value", lb.p_value),
+    ]
+    sys.stdout.write(csv_text(rows))
     return EXIT_OK
 
 
@@ -126,15 +125,17 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     text = comparison_to_text(report)
-    header = (
-        f"blocks,{report.n}\n"
-        f"block_size,{b.block_size}\n"
-        f"standardized,{b.standardized}\n"
-        f"ljung_box_statistic,{format_float(lb.statistic)}\n"
-        f"ljung_box_p_value,{format_float(lb.p_value)}\n"
+    header = csv_text(
+        [
+            ("blocks", report.n),
+            ("block_size", b.block_size),
+            ("standardized", b.standardized),
+            ("ljung_box_statistic", lb.statistic),
+            ("ljung_box_p_value", lb.p_value),
+        ]
     )
-    (out_dir / "report.txt").write_text(header + text, encoding="utf-8")
-    (out_dir / "comparison.csv").write_text(comparison_to_csv(report), encoding="utf-8")
+    write_text(out_dir / "report.txt", header + text)
+    write_text(out_dir / "comparison.csv", comparison_to_csv(report))
     emit_plot_data(report, b, out_dir, bins=args.bins)
 
     sys.stdout.write(header)
@@ -149,12 +150,11 @@ def cmd_fit(args) -> int:
 def cmd_sim(args) -> int:
     cells = load_suite_config(args.config)
     reports, errors = run_suite(cells, parallelism=args.parallelism)
-    csv_text = reports_to_csv(reports)
     table = reports_to_table(reports)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "results.csv").write_text(csv_text, encoding="utf-8")
-    (out_dir / "table.txt").write_text(table, encoding="utf-8")
+    write_text(out_dir / "results.csv", reports_to_csv(reports))
+    write_text(out_dir / "table.txt", table)
     sys.stdout.write(table)
     for idx, msg in errors:
         print(f"cell {idx} failed: {msg}", file=sys.stderr)

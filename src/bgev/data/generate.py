@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from ..distribution import sample
-from ..params import BgevParams
+from ..params import BgevParams, csv_text, write_text
 
 BLOCK = 24
 DAYS = 365
@@ -51,10 +51,7 @@ def write_all(out_dir: Path | None = None) -> list[Path]:
     for name, (params, seed) in SERIES.items():
         values = build_series(params, seed)
         path = out / f"{name}_hourly.csv"
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("hour,value\n")
-            for h, v in enumerate(values):
-                fh.write(f"{h},{v:.17g}\n")
+        write_text(path, csv_text([("hour", "value"), *enumerate(values.tolist())]))
         paths.append(path)
     return paths
 

@@ -35,13 +35,6 @@ def _sorted_sample(x) -> np.ndarray:
     return np.sort(x)
 
 
-def _eval_cdf(cdf, xs: np.ndarray) -> np.ndarray:
-    f = np.asarray(cdf(xs), dtype=float)
-    if f.shape != xs.shape:  # scalar-only callable
-        f = np.array([float(cdf(v)) for v in xs])
-    return f
-
-
 def ks_statistic(x, cdf) -> float:
     """sup-distance between the empirical CDF and the given CDF.
 
@@ -49,7 +42,7 @@ def ks_statistic(x, cdf) -> float:
     """
     xs = _sorted_sample(x)
     n = xs.size
-    f = _eval_cdf(cdf, xs)
+    f = np.asarray(cdf(xs), dtype=float)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
@@ -63,7 +56,7 @@ def ad_statistic(x, cdf) -> float:
     """
     xs = _sorted_sample(x)
     n = xs.size
-    f = _eval_cdf(cdf, xs)
+    f = np.asarray(cdf(xs), dtype=float)
     on_boundary = (f <= 0.0) | (f >= 1.0)
     if np.any(on_boundary):
         j = int(np.argmax(on_boundary))
@@ -119,8 +112,6 @@ def qq_pairs(x, quantile) -> np.ndarray:
         raise ValueError("need at least 2 observations for a QQ plot")
     levels = (np.arange(1, n + 1) - 0.5) / n
     theo = np.asarray(quantile(levels), dtype=float)
-    if theo.shape != levels.shape:
-        theo = np.array([float(quantile(v)) for v in levels])
     return np.column_stack([theo, xs])
 
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 __all__ = [
     "BgevParams",
-    "GevParams",
     "Support",
     "SupportKind",
     "CriticalPoints",
@@ -21,10 +21,18 @@ class ParameterError(ValueError):
     """Raised when a parameter vector violates its admissibility constraints."""
 
 
-def format_float(v: float) -> str:
-    """Text of a float in every output file: 17 significant digits, enough to
-    round-trip any double."""
-    return f"{v:.17g}"
+def csv_text(rows) -> str:
+    """The text of every CSV-like output: one comma-joined line per row,
+    each ending in a newline.  A float cell is written with 17 significant
+    digits, enough to round-trip any double; any other cell as ``str``
+    gives it.  Formatting a Python float is faster than a numpy scalar, so
+    pass numpy columns through ``.tolist()``."""
+    return "".join(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n" for row in rows)
+
+
+def write_text(path, text: str) -> None:
+    """Write an output file: UTF-8 with ``\\n`` line endings on every platform."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)
@@ -51,24 +59,6 @@ class BgevParams:
         if self.delta <= -1.0:
             raise ParameterError(f"delta must be > -1, got {self.delta}")
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.xi, self.mu, self.sigma, self.delta)
-
-
-@dataclass(frozen=True)
-class GevParams:
-    """Baseline GEV triple (xi, mu, sigma).  sigma defaults to the unit scale."""
-
-    xi: float
-    mu: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.xi, self.mu, self.sigma)):
-            raise ParameterError("parameters must be finite")
-        if self.sigma <= 0.0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
-
 
 class SupportKind(Enum):
     LEFT_BOUNDED = "left_bounded"
@@ -86,14 +76,8 @@ class Support:
     upper: float
     kind: SupportKind
 
-    def contains(self, x: float, strict: bool = True) -> bool:
-        if strict:
-            return self.lower < x < self.upper
-        return self.lower <= x <= self.upper
-
-    @property
-    def finite_endpoint(self) -> float:
-        return self.lower if self.kind is SupportKind.LEFT_BOUNDED else self.upper
+    def contains(self, x: float) -> bool:
+        return self.lower < x < self.upper
 
 
 class Modality(Enum):

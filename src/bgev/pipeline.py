@@ -24,7 +24,7 @@ from .distribution import pdf as bgev_pdf
 from .distribution import quantile as bgev_quantile
 from .gof import gof_report
 from .mle import FitResult, InfeasibleStartError, default_start, fit_mle
-from .params import BgevParams, format_float
+from .params import BgevParams, csv_text, write_text
 
 __all__ = [
     "InputDataError",
@@ -55,7 +55,15 @@ START_PRESETS: dict[str, BgevParams] = {
 
 @dataclass(frozen=True)
 class SeriesFile:
-    timestamps: tuple[str, ...]
+    """A series read by ``ingest``.
+
+    ``rows[i]`` is the data-row index of ``values[i]``, counted from 0 over
+    the rows below the header; a blank line is not a data row.  The file
+    has ``values.size + skipped`` data rows, so a skipped value leaves a gap
+    in ``rows`` rather than shifting the values after it.
+    """
+
+    rows: np.ndarray
     values: np.ndarray
     path: str
     time_column: str | None
@@ -63,8 +71,8 @@ class SeriesFile:
     skipped: int
 
     def __post_init__(self):
-        if len(self.timestamps) != len(self.values):
-            raise InputDataError("timestamps and values must have equal length")
+        if len(self.rows) != len(self.values):
+            raise InputDataError("rows and values must have equal length")
 
 
 @dataclass(frozen=True)
@@ -105,13 +113,15 @@ def ingest(
 ) -> SeriesFile:
     """Read a delimited text file (comma or tab) into a series.
 
-    The header row is optional: the first row is one iff some non-blank
-    token in it does not parse as a number.  With two or more columns the
-    first defaults to timestamps and the last to values; both defaults can
-    be overridden by name or index.  Missing, non-numeric and non-finite
-    (nan, inf) values are skipped and counted under the "skip" policy and
-    abort under "fail".  When numeric timestamps are present they must be
-    strictly increasing.
+    The delimiter is a tab when the first non-blank line holds one.  The
+    header row is optional: the first row is one iff some non-blank token
+    in it does not parse as a number.  With two or more columns the first
+    defaults to timestamps and the last to values; both defaults can be
+    overridden by name or index.  Missing, non-numeric and non-finite (nan,
+    inf) values are skipped and counted under the "skip" policy and abort
+    under "fail"; a skipped value keeps its data row (see ``SeriesFile``).
+    When numeric timestamps are present they must be strictly increasing.
+    A file that cannot be read or parsed raises InputDataError.
     """
     if missing not in ("skip", "fail"):
         raise InputDataError(f"missing-value policy must be 'skip' or 'fail', got {missing!r}")
@@ -120,13 +130,18 @@ def ingest(
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
     if not text:
         raise InputDataError(f"{path}: file is empty")
-    delimiter = "\t" if "\t" in text.partition("\n")[0] else ","
+    delimiter = "\t" if "\t" in text.lstrip("\n").partition("\n")[0] else ","
     # row i is line i + 1 (a blank line reads as []); no field of a series
     # file is a quoted one spanning lines
-    rows = list(_csv.reader(io.StringIO(text), delimiter=delimiter))
+    try:
+        rows = list(_csv.reader(io.StringIO(text), delimiter=delimiter))
+    except _csv.Error as exc:
+        raise InputDataError(f"{path}: {exc}") from exc
     first = next((i for i, r in enumerate(rows) if r), None)
     if first is None:
         raise InputDataError(f"{path}: file holds no data rows")
@@ -152,7 +167,7 @@ def ingest(
 
     times: list[str] = []
     values: list[float] = []
-    skipped = 0
+    gaps: list[int] = []  # data-row indices of the skipped values
     for lineno, row in enumerate(islice(rows, first, None), start=first + 1):
         if not row:
             continue
@@ -161,10 +176,11 @@ def ingest(
         if v is None or not math.isfinite(v):
             if missing == "fail":
                 raise InputDataError(f"{path}:{lineno}: value {tok!r} is missing or not a finite number")
-            skipped += 1
+            gaps.append(len(values) + len(gaps))
             continue
         values.append(v)
-        times.append(row[t_idx].strip() if t_idx is not None and t_idx < len(row) else str(len(values) - 1))
+        if t_idx is not None:
+            times.append(row[t_idx].strip() if t_idx < len(row) else "")
 
     if not values:
         raise InputDataError(f"{path}: no numeric values found in column {names[v_idx]!r}")
@@ -179,27 +195,39 @@ def ingest(
                 raise InputDataError(f"{path}: timestamps are not strictly increasing")
 
     return SeriesFile(
-        timestamps=tuple(times),
+        rows=np.delete(np.arange(len(values) + len(gaps)), gaps),
         values=np.asarray(values, dtype=float),
         path=str(path),
         time_column=names[t_idx] if t_idx is not None else None,
         value_column=names[v_idx],
-        skipped=skipped,
+        skipped=len(gaps),
     )
 
 
 def block_maxima(s: SeriesFile | np.ndarray, block_size: int) -> BlockMaxima:
-    """Maxima of consecutive non-overlapping blocks; a trailing partial
-    block is dropped and reported in the ``dropped`` field."""
-    values = s.values if isinstance(s, SeriesFile) else np.asarray(s, dtype=float)
+    """Maxima of consecutive non-overlapping blocks of ``block_size`` data
+    rows.  A skipped value leaves its row empty, so later blocks keep their
+    place, and a block left with no value raises.  The values of a trailing
+    partial block are dropped and counted in ``dropped``.  An array is a
+    series without gaps."""
+    if isinstance(s, SeriesFile):
+        values, rows, n = s.values, s.rows, s.values.size + s.skipped
+    else:
+        values = np.asarray(s, dtype=float)
+        rows, n = np.arange(values.size), values.size
     if block_size < 1:
         raise InputDataError(f"block size must be >= 1, got {block_size}")
-    n = values.size
     if n < block_size:
         raise InputDataError(f"series of length {n} is shorter than one block of {block_size}")
     nblocks = n // block_size
-    dropped = n - nblocks * block_size
-    maxima = values[: nblocks * block_size].reshape(nblocks, block_size).max(axis=1)
+    filled = np.full(n, -np.inf)
+    filled[rows] = values
+    maxima = filled[: nblocks * block_size].reshape(nblocks, block_size).max(axis=1)
+    empty = np.flatnonzero(maxima == -np.inf)
+    if empty.size:
+        j = int(empty[0])
+        raise InputDataError(f"block {j} (data rows {j * block_size}-{(j + 1) * block_size - 1}) holds no value")
+    dropped = values.size - int(np.searchsorted(rows, nblocks * block_size))
     return BlockMaxima(block_size=block_size, maxima=maxima, dropped=dropped)
 
 
@@ -238,6 +266,10 @@ class ModelAssessment:
     converged: bool
     qq: np.ndarray
     params_internal: BgevParams
+
+
+# comparison.csv columns, each a ModelAssessment field
+COMPARISON_FIELDS = ("model", "mu", "sigma", "xi", "delta", "ks", "ad", "neg2loglik", "converged")
 
 
 @dataclass(frozen=True)
@@ -336,48 +368,37 @@ def emit_plot_data(
     out_dir,
     bins: int | None = None,
 ) -> list[Path]:
-    """Write histogram, fitted-density and QQ plot data as CSV files.
+    """Write histogram, fitted-density and QQ plot data as CSV files into
+    ``out_dir`` and return their paths in this order.
 
     histogram.csv: bin_left, bin_right, count, density (Freedman-Diaconis
-    bin count unless overridden); density.csv: a 512-point grid over the
-    data range with both fitted densities; qq_bgev.csv / qq_gev.csv: one
-    (theoretical, empirical) pair per observation.  Output is deterministic
-    for fixed inputs.
+    bin count unless overridden); density.csv: x, pdf_bgev, pdf_gev on a
+    512-point grid over the data range; qq_bgev.csv / qq_gev.csv:
+    theoretical, empirical, one pair per observation.  Every file is
+    ``csv_text`` written by ``write_text``, so output is byte-identical for
+    fixed inputs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     x = np.asarray(b.maxima, dtype=float)
-    written: list[Path] = []
-
     nbins = bins if bins is not None else _fd_bin_count(x)
     counts, edges = np.histogram(x, bins=nbins)
     dens = counts / (counts.sum() * np.diff(edges))
-    hist_path = out / "histogram.csv"
-    with hist_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bin_left,bin_right,count,density\n")
-        for i in range(nbins):
-            fh.write(f"{format_float(edges[i])},{format_float(edges[i + 1])},{counts[i]},{format_float(dens[i])}\n")
-    written.append(hist_path)
-
     pad = 0.05 * (x.max() - x.min())
     grid = np.linspace(x.min() - pad, x.max() + pad, _GRID_POINTS)
     pdf_b = np.asarray(bgev_pdf(grid, report.bgev.params_internal))
     pdf_g = np.asarray(bgev_pdf(grid, report.gev.params_internal))
-    dens_path = out / "density.csv"
-    with dens_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,pdf_bgev,pdf_gev\n")
-        for xi_, pb, pg in zip(grid, pdf_b, pdf_g):
-            fh.write(f"{format_float(xi_)},{format_float(pb)},{format_float(pg)}\n")
-    written.append(dens_path)
-
-    for label, row in (("bgev", report.bgev), ("gev", report.gev)):
-        qq_path = out / f"qq_{label}.csv"
-        with qq_path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("theoretical,empirical\n")
-            for t, e in row.qq:
-                fh.write(f"{format_float(t)},{format_float(e)}\n")
-        written.append(qq_path)
-
+    tables = {
+        "histogram.csv": (("bin_left", "bin_right", "count", "density"), edges[:-1], edges[1:], counts, dens),
+        "density.csv": (("x", "pdf_bgev", "pdf_gev"), grid, pdf_b, pdf_g),
+        "qq_bgev.csv": (("theoretical", "empirical"), *report.bgev.qq.T),
+        "qq_gev.csv": (("theoretical", "empirical"), *report.gev.qq.T),
+    }
+    written: list[Path] = []
+    for name, (header, *columns) in tables.items():
+        path = out / name
+        write_text(path, csv_text([header, *zip(*(c.tolist() for c in columns))]))
+        written.append(path)
     return written
 
 
@@ -399,21 +420,5 @@ def comparison_to_text(report: ComparisonReport) -> str:
 
 
 def comparison_to_csv(report: ComparisonReport) -> str:
-    lines = ["model,mu,sigma,xi,delta,ks,ad,neg2loglik,converged"]
-    for row in (report.bgev, report.gev):
-        lines.append(
-            ",".join(
-                [
-                    row.model,
-                    format_float(row.mu),
-                    format_float(row.sigma),
-                    format_float(row.xi),
-                    format_float(row.delta),
-                    format_float(row.ks),
-                    format_float(row.ad),
-                    format_float(row.neg2loglik),
-                    str(row.converged),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([getattr(row, f) for f in COMPARISON_FIELDS] for row in (report.bgev, report.gev))
+    return csv_text([COMPARISON_FIELDS, *rows])

@@ -19,13 +19,14 @@ import configparser
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .distribution import sample
 from .likelihood import log_likelihood
 from .mle import InfeasibleStartError, fit_mle
-from .params import BgevParams, ParameterError, format_float
+from .params import BgevParams, ParameterError, csv_text
 
 __all__ = [
     "FREE_PARAMS",
@@ -42,12 +43,13 @@ __all__ = [
 
 FREE_PARAMS = ("xi", "mu", "delta")
 
-CSV_HEADER = (
-    "xi,mu,sigma,delta,n,m,seed,"
-    "mean_xi,mean_mu,mean_delta,"
-    "bias_xi,bias_mu,bias_delta,"
-    "mse_xi,mse_mu,mse_delta,failures"
-)
+# results.csv columns: the truth, the cell's size and seed, each statistic
+# of each free parameter, and the failure count
+_TRUTH_FIELDS = ("xi", "mu", "sigma", "delta")
+_CELL_FIELDS = ("n", "m", "seed")
+_STATS = ("mean", "bias", "mse")
+CSV_FIELDS = (*_TRUTH_FIELDS, *_CELL_FIELDS, *(f"{s}_{k}" for s in _STATS for k in FREE_PARAMS), "failures")
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 _DELTA_MARGIN = 1e-6
 _XI_MARGIN = 1e-6
@@ -83,23 +85,6 @@ class SimReport:
     failures: int
     replicates_used: int
     wall_time: float = field(compare=False)
-
-    def csv_row(self) -> str:
-        t = self.config.truth
-        cells = [
-            format_float(t.xi),
-            format_float(t.mu),
-            format_float(t.sigma),
-            format_float(t.delta),
-            str(self.config.n),
-            str(self.config.m),
-            str(self.config.seed),
-        ]
-        cells += [format_float(self.mean[k]) for k in FREE_PARAMS]
-        cells += [format_float(self.bias[k]) for k in FREE_PARAMS]
-        cells += [format_float(self.mse[k]) for k in FREE_PARAMS]
-        cells.append(str(self.failures))
-        return ",".join(cells)
 
 
 def _project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevParams:
@@ -203,9 +188,18 @@ def run_suite(
 
 
 def reports_to_csv(reports: list[SimReport | None]) -> str:
-    lines = [CSV_HEADER]
-    lines += [r.csv_row() for r in reports if r is not None]
-    return "\n".join(lines) + "\n"
+    """results.csv: the CSV_FIELDS header and one row per finished cell."""
+    rows = (
+        [
+            *(getattr(r.config.truth, k) for k in _TRUTH_FIELDS),
+            *(getattr(r.config, k) for k in _CELL_FIELDS),
+            *(getattr(r, s)[k] for s in _STATS for k in FREE_PARAMS),
+            r.failures,
+        ]
+        for r in reports
+        if r is not None
+    )
+    return csv_text([CSV_FIELDS, *rows])
 
 
 def reports_to_table(reports: list[SimReport | None]) -> str:
@@ -241,12 +235,12 @@ def _parse_ints(raw: str) -> list[int]:
 def load_suite_config(path: str) -> list[SimConfig]:
     """Parse a suite description file into a list of cells.
 
-    The file is INI-style.  A ``[cell NAME]`` section declares one cell with
-    scalar keys xi, mu, delta, n and optional sigma (default 1), m (default
-    100), seed (default 0).  A ``[grid NAME]`` (or plain ``[grid]``) section
+    The file is INI-style.  A ``[grid NAME]`` (or plain ``[grid]``) section
     declares cross-products: xi, mu, delta and n take comma-separated lists,
+    sigma (default 1), m (default 100) and seed (default 0) one value each,
     and cells are expanded in xi-outer, mu, delta, n-inner order with seeds
-    seed_base, seed_base+1, ...
+    seed, seed+1, ...  A ``[cell NAME]`` section is a one-point grid: the
+    same keys, one value each.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -256,44 +250,17 @@ def load_suite_config(path: str) -> list[SimConfig]:
     for section in parser.sections():
         sec = parser[section]
         kind = section.split()[0].lower()
-        if kind == "cell":
-            cells.append(
-                SimConfig(
-                    truth=BgevParams(
-                        xi=sec.getfloat("xi"),
-                        mu=sec.getfloat("mu"),
-                        sigma=sec.getfloat("sigma", 1.0),
-                        delta=sec.getfloat("delta"),
-                    ),
-                    n=sec.getint("n"),
-                    m=sec.getint("m", 100),
-                    seed=sec.getint("seed", 0),
-                )
-            )
-        elif kind == "grid":
-            xis = _parse_floats(sec["xi"])
-            mus = _parse_floats(sec["mu"])
-            deltas = _parse_floats(sec["delta"])
-            ns = _parse_ints(sec["n"])
-            sigma = sec.getfloat("sigma", 1.0)
-            m = sec.getint("m", 100)
-            seed_base = sec.getint("seed", 0)
-            idx = 0
-            for xi in xis:
-                for mu in mus:
-                    for dl in deltas:
-                        for n in ns:
-                            cells.append(
-                                SimConfig(
-                                    truth=BgevParams(xi=xi, mu=mu, sigma=sigma, delta=dl),
-                                    n=n,
-                                    m=m,
-                                    seed=seed_base + idx,
-                                )
-                            )
-                            idx += 1
-        else:
+        if kind not in ("cell", "grid"):
             raise ValueError(f"unknown section kind {section!r} (expected 'cell ...' or 'grid ...')")
+        axes = (_parse_floats(sec["xi"]), _parse_floats(sec["mu"]), _parse_floats(sec["delta"]), _parse_ints(sec["n"]))
+        points = list(product(*axes))
+        if kind == "cell" and len(points) != 1:
+            raise ValueError(f"[{section}] must give one value per key")
+        sigma = sec.getfloat("sigma", 1.0)
+        m = sec.getint("m", 100)
+        seed = sec.getint("seed", 0)
+        for idx, (xi, mu, dl, n) in enumerate(points):
+            cells.append(SimConfig(truth=BgevParams(xi=xi, mu=mu, sigma=sigma, delta=dl), n=n, m=m, seed=seed + idx))
     if not cells:
         raise ValueError(f"no cells defined in {path}")
     return cells

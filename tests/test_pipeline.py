@@ -74,13 +74,26 @@ def test_ingest_single_column_headerless(tmp_path):
     s = ingest(f)
     assert np.allclose(s.values, [1.5, 2.5, 3.5])
     assert s.time_column is None
-    assert s.timestamps == ("0", "1", "2")
+    assert s.rows.tolist() == [0, 1, 2]
 
 
 def test_ingest_tab_delimited(tmp_path):
     f = write(tmp_path, "e.tsv", "time\tvalue\n1\t10\n2\t20\n")
     s = ingest(f)
     assert np.allclose(s.values, [10.0, 20.0])
+
+
+def test_ingest_tab_delimited_after_blank_line(tmp_path):
+    f = write(tmp_path, "eb.tsv", "\ntime\tvalue\n1\t10\n2\t20\n")
+    s = ingest(f)
+    assert s.value_column == "value" and s.values.tolist() == [10.0, 20.0]
+
+
+def test_ingest_non_utf8_names_the_file(tmp_path):
+    f = tmp_path / "latin1.csv"
+    f.write_bytes("t,v\n1,2\n2,3 \u00b0C\n".encode("latin-1"))
+    with pytest.raises(InputDataError, match=r"latin1\.csv: not UTF-8"):
+        ingest(f)
 
 
 def test_ingest_column_selectors(tmp_path):
@@ -133,6 +146,27 @@ def test_block_maxima_drops_partial_tail():
     b = block_maxima(np.arange(50.0), 24)
     assert len(b.maxima) == 2
     assert b.dropped == 2
+
+
+def test_block_maxima_skipped_row_keeps_blocks_aligned(tmp_path):
+    # 48 hourly rows valued 0..47, hour 24 = 100, hour 5 blank: day one's
+    # peak is hour 23, day two's is hour 24
+    vals = [str(float(h)) for h in range(48)]
+    vals[24], vals[5] = "100", ""
+    s = ingest(write(tmp_path, "gap.csv", "t,v\n" + "".join(f"{h},{v}\n" for h, v in enumerate(vals))))
+    assert s.skipped == 1 and s.rows[4:6].tolist() == [4, 6]
+    b = block_maxima(s, 24)
+    assert b.maxima.tolist() == [23.0, 100.0]
+    assert b.dropped == 0
+
+
+def test_block_maxima_block_without_values(tmp_path):
+    body = "t,v\n" + "".join(f"{h},{'' if 3 <= h < 6 else h}\n" for h in range(9))
+    s = ingest(write(tmp_path, "hole.csv", body))
+    with pytest.raises(InputDataError, match=r"block 1 \(data rows 3-5\) holds no value"):
+        block_maxima(s, 3)
+    b = block_maxima(s, 4)
+    assert b.maxima.tolist() == [2.0, 7.0] and b.dropped == 1
 
 
 def test_block_maxima_too_short():

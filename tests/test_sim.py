@@ -150,3 +150,14 @@ def test_load_suite_config_errors(tmp_path):
     bad.write_text("[weird]\nxi = 1\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_suite_config(str(bad))
+
+
+def test_cell_is_a_one_point_grid(tmp_path):
+    cfg = tmp_path / "one.ini"
+    body = "xi = 0.5\nmu = 0\ndelta = 2\nn = 100\nm = 7\nseed = 11\n"
+    cfg.write_text(f"[cell a]\n{body}\n[grid b]\n{body}", encoding="utf-8")
+    a, b = load_suite_config(str(cfg))
+    assert a == b
+    cfg.write_text("[cell a]\nxi = 0.5, 1\nmu = 0\ndelta = 2\nn = 100\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="one value per key"):
+        load_suite_config(str(cfg))

@@ -57,9 +57,11 @@ def pdf(x, p: BgevParams):
     fg = gev_pdf(t, p.xi, p.mu)
     fg = np.asarray(fg, dtype=float)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         jac = np.where(x == 0.0, 1.0, np.abs(x) ** p.delta) * (p.sigma * (p.delta + 1.0))
-    out = np.asarray(fg * jac, dtype=float)
+        # where the GEV density is 0 so is this one, also where the
+        # Jacobian factor overflows far outside a bounded support
+        out = np.where(fg == 0.0, 0.0, fg * jac)
 
     at_zero = x == 0.0
     if np.any(at_zero):

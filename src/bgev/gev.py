@@ -26,9 +26,11 @@ def gev_pdf(x, xi: float, mu: float, sigma: float = 1.0):
     u = _kernel(x, xi, mu, sigma)
     out = np.zeros_like(u)
     inside = u > 0.0
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         ui = u[inside]
-        out[inside] = ui ** (-1.0 / xi - 1.0) * np.exp(-(ui ** (-1.0 / xi))) / sigma
+        e = np.exp(-(ui ** (-1.0 / xi)))
+        # e = 0 far in the tail, where the power factor may overflow
+        out[inside] = np.where(e == 0.0, 0.0, ui ** (-1.0 / xi - 1.0) * e) / sigma
     return out if out.ndim else float(out)
 
 

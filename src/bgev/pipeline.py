@@ -105,6 +105,58 @@ def _resolve_column(sel, names: list[str], default: int) -> int:
     raise InputDataError(f"no column named {sel!r}; available: {names}")
 
 
+def _is_header(first_row: list[str]) -> bool:
+    """A first row is a header iff some non-blank token in it is not a number."""
+    return any(tok.strip() and _parse_float(tok) is None for tok in first_row)
+
+
+def _columns(first_row: list[str], has_header: bool, value_column, time_column) -> tuple[list[str], int, int | None]:
+    """Column names and the value and time column indices (time None when
+    there is none) laid out by the first non-blank row."""
+    ncol = len(first_row)
+    names = [tok.strip() for tok in first_row] if has_header else [str(i) for i in range(ncol)]
+    v_idx = _resolve_column(value_column, names, default=ncol - 1)
+    t_idx = None
+    if ncol >= 2:
+        t_idx = _resolve_column(time_column, names, default=0)
+        if t_idx == v_idx:
+            t_idx = None
+    elif time_column is not None:
+        raise InputDataError("time column requested but the file has a single column")
+    return names, v_idx, t_idx
+
+
+def _read(path) -> tuple[str, str]:
+    """The file's text and its delimiter: a tab when the first non-blank
+    line holds one, else a comma."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputDataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    if not text:
+        raise InputDataError(f"{path}: file is empty")
+    return text, "\t" if "\t" in text.lstrip("\n").partition("\n")[0] else ","
+
+
+def _check_increasing(path, times: np.ndarray) -> None:
+    if np.any(np.diff(times) <= 0):
+        raise InputDataError(f"{path}: timestamps are not strictly increasing")
+
+
+def _has_long_line(text: str, limit: int) -> bool:
+    """True when some line of ``text`` is longer than ``limit`` characters;
+    the scan jumps ``limit`` characters at a time."""
+    pos = 0  # the start of a line
+    while len(text) - pos > limit:
+        nl = text.rfind("\n", pos, pos + limit + 1)
+        if nl < 0:
+            return True
+        pos = nl + 1
+    return False
+
+
 def ingest(
     path,
     value_column: int | str | None = None,
@@ -122,20 +174,66 @@ def ingest(
     under "fail"; a skipped value keeps its data row (see ``SeriesFile``).
     When numeric timestamps are present they must be strictly increasing.
     A file that cannot be read or parsed raises InputDataError.
+
+    The body below the header is read column-wise by one ``np.loadtxt``
+    call.  A file that call cannot take as it stands goes to the row
+    parser, which alone counts missing values and names the ``file:line``
+    of a bad one, and the result is the same either way.  Those are files
+    with a quote, a NUL or a line longer than the csv field limit anywhere,
+    or with a blank, short, non-numeric or non-finite field in the value
+    or time column, which includes every file with non-numeric (say ISO
+    8601) timestamps: such files are read at the row parser's speed.
     """
     if missing not in ("skip", "fail"):
         raise InputDataError(f"missing-value policy must be 'skip' or 'fail', got {missing!r}")
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputDataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputDataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    text, delimiter = _read(path)
+    s = _ingest_columns(path, text, delimiter, value_column, time_column)
+    return s if s is not None else _ingest_rows(path, text, delimiter, value_column, time_column, missing)
 
-    if not text:
-        raise InputDataError(f"{path}: file is empty")
-    delimiter = "\t" if "\t" in text.lstrip("\n").partition("\n")[0] else ","
+
+def _ingest_columns(path, text: str, delimiter: str, value_column, time_column) -> SeriesFile | None:
+    """``ingest`` by one ``np.loadtxt`` call over the body, or None where
+    the row parser must read the file."""
+    # quotes, NULs (csv.Error before Python 3.11) and over-long fields
+    # (csv.Error) are where csv and a plain split on the delimiter disagree
+    if '"' in text or "\0" in text or _has_long_line(text, _csv.field_size_limit()):
+        return None
+    lines = text.lstrip("\n")
+    first_line, _, rest = lines.partition("\n")
+    first_row = next(_csv.reader([first_line], delimiter=delimiter))
+    has_header = _is_header(first_row)
+    body = rest if has_header else lines
+    if body.count("\n") == len(body):  # blank lines only
+        return None
+    names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
+    try:
+        table = np.loadtxt(
+            io.StringIO(body),
+            delimiter=delimiter,
+            usecols=(v_idx,) if t_idx is None else (t_idx, v_idx),
+            comments=None,
+            ndmin=2,
+            dtype=float,
+        )
+    except ValueError:
+        return None
+    values = table[:, -1].copy()
+    if not np.isfinite(values).all():
+        return None
+    if t_idx is not None:
+        _check_increasing(path, table[:, 0])
+    return SeriesFile(
+        rows=np.arange(values.size),
+        values=values,
+        path=str(path),
+        time_column=names[t_idx] if t_idx is not None else None,
+        value_column=names[v_idx],
+        skipped=0,
+    )
+
+
+def _ingest_rows(path, text: str, delimiter: str, value_column, time_column, missing: str) -> SeriesFile:
+    """``ingest`` by one csv row at a time: the exact reference parser."""
     # row i is line i + 1 (a blank line reads as []); no field of a series
     # file is a quoted one spanning lines
     try:
@@ -146,24 +244,13 @@ def ingest(
     if first is None:
         raise InputDataError(f"{path}: file holds no data rows")
 
-    ncol = len(rows[first])
-    has_header = any(tok.strip() and _parse_float(tok) is None for tok in rows[first])
+    first_row = rows[first]
+    has_header = _is_header(first_row)
     if has_header:
-        names = [tok.strip() for tok in rows[first]]
         first += 1
         if not any(islice(rows, first, None)):
             raise InputDataError(f"{path}: header only, no data rows")
-    else:
-        names = [str(i) for i in range(ncol)]
-
-    v_idx = _resolve_column(value_column, names, default=ncol - 1)
-    t_idx = None
-    if ncol >= 2:
-        t_idx = _resolve_column(time_column, names, default=0)
-        if t_idx == v_idx:
-            t_idx = None
-    elif time_column is not None:
-        raise InputDataError("time column requested but the file has a single column")
+    names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
 
     times: list[str] = []
     values: list[float] = []
@@ -191,8 +278,7 @@ def ingest(
         except ValueError:
             pass  # non-numeric timestamps carry no order to check
         else:
-            if np.any(np.diff(tv) <= 0):
-                raise InputDataError(f"{path}: timestamps are not strictly increasing")
+            _check_increasing(path, tv)
 
     return SeriesFile(
         rows=np.delete(np.arange(len(values) + len(gaps)), gaps),
@@ -235,8 +321,11 @@ def standardize(b: BlockMaxima) -> BlockMaxima:
     """Center and scale the maxima to zero mean and unit sample standard
     deviation (n-1 denominator).  The original mean and sd are kept so
     fitted quantiles can be mapped back to the data scale."""
-    m = float(np.mean(b.maxima))
-    sd = float(np.std(b.maxima, ddof=1)) if b.maxima.size > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = float(np.mean(b.maxima))
+        sd = float(np.std(b.maxima, ddof=1)) if b.maxima.size > 1 else 0.0
+    if not (math.isfinite(m) and math.isfinite(sd)):
+        raise InputDataError("cannot standardize: the spread of the block maxima overflows a float")
     if not sd > 0.0:
         raise InputDataError("cannot standardize: block maxima are constant")
     return replace(b, maxima=(b.maxima - m) / sd, standardized=True, mean=m, sd=sd)

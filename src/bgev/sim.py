@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import configparser
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -171,6 +170,9 @@ def run_suite(
     reports: list[SimReport | None] = [None] * len(cells)
     errors: list[tuple[int, str]] = []
     if parallelism > 1:
+        # imported here: the process pool costs every `import bgev` ~16 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             futures = [pool.submit(run_cell, c) for c in cells]
             for i, fut in enumerate(futures):
@@ -240,7 +242,8 @@ def load_suite_config(path: str) -> list[SimConfig]:
     sigma (default 1), m (default 100) and seed (default 0) one value each,
     and cells are expanded in xi-outer, mu, delta, n-inner order with seeds
     seed, seed+1, ...  A ``[cell NAME]`` section is a one-point grid: the
-    same keys, one value each.
+    same keys, one value each.  A section without xi, mu, delta or n
+    raises ValueError naming the file, the section and the keys.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -252,6 +255,9 @@ def load_suite_config(path: str) -> list[SimConfig]:
         kind = section.split()[0].lower()
         if kind not in ("cell", "grid"):
             raise ValueError(f"unknown section kind {section!r} (expected 'cell ...' or 'grid ...')")
+        lacking = [key for key in ("xi", "mu", "delta", "n") if key not in sec]
+        if lacking:
+            raise ValueError(f"{path}: [{section}] has no {', '.join(lacking)}")
         axes = (_parse_floats(sec["xi"]), _parse_floats(sec["mu"]), _parse_floats(sec["delta"]), _parse_ints(sec["n"]))
         points = list(product(*axes))
         if kind == "cell" and len(points) != 1:

@@ -23,9 +23,9 @@ def transform_forward(x, sigma: float, delta: float):
     """sigma * x * |x|**delta, elementwise.  Total on the reals."""
     _check(sigma, delta)
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         p = np.where(x == 0.0, 0.0, np.abs(x) ** delta)
-    out = sigma * x * p
+        out = sigma * x * p  # +-inf where the power overflows
     return out if out.ndim else float(out)
 
 def transform_inverse(y, sigma: float, delta: float):

@@ -40,6 +40,14 @@ def test_eval_rejects_bad_params(capsys):
     assert rc == 2 and "xi" in err
 
 
+def test_eval_far_tail_stderr_is_empty():
+    # a real child process, so numpy's RuntimeWarnings would reach stderr
+    argv = ["eval", "--xi", "-0.25", "--mu", "-0.36", "--sigma", "1", "--delta", "2", "--x", "1e300"]
+    res = subprocess.run([sys.executable, "-m", "bgev.cli", *argv], capture_output=True, text=True, env=child_env())
+    assert res.returncode == 0 and res.stderr == ""
+    assert res.stdout == "x,pdf,cdf\n1.0000000000000001e+300,0,1\n"
+
+
 def test_sample_deterministic_bytes(capsys):
     argv = ["sample", "--xi", "0.5", "--mu", "0", "--sigma", "1", "--delta", "2", "-n", "5", "--seed", "9"]
     rc1, out1, _ = run_cli(argv, capsys)
@@ -132,6 +140,18 @@ def test_fit_missing_fail_on_non_finite_value(tmp_path):
     )
     assert res.returncode == 2
     assert "nf.csv:32" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_fit_overflowing_spread_exits_2_without_warnings(tmp_path):
+    # one 1e300 among 2,400 readings: the sd of the daily maxima overflows
+    rows = "".join(f"{i},{1e300 if i == 1000 else 1.0 + (i * 7) % 11}\n" for i in range(2400))
+    (tmp_path / "big.csv").write_text("t,v\n" + rows)
+    res = subprocess.run(
+        [sys.executable, "-m", "bgev.cli", "fit", "--input", "big.csv"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot standardize: the spread of the block maxima overflows a float\n"
 
 
 def test_fit_value_col_selectors(tmp_path, capsys):

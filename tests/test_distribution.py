@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def test_pdf_zero_outside_support():
     assert pdf(support(p).lower - 0.1, p) == 0.0
     pn = BgevParams(xi=-0.5, mu=0.0, sigma=1.0, delta=1.0)
     assert pdf(support(pn).upper + 0.1, pn) == 0.0
+
+
+@pytest.mark.parametrize("xi", [-0.25, 0.25])
+@pytest.mark.parametrize("x", [1e300, -1e300])
+def test_pdf_zero_far_in_the_tails(xi, x):
+    # the power map overflows to +-inf there and the density is 0
+    p = BgevParams(xi=xi, mu=-0.36, sigma=1.0, delta=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pdf(x, p) == 0.0
+        assert pdf(np.array([x, 0.5]), p)[0] == 0.0
+        assert cdf(x, p) == (0.0 if x < 0 else 1.0)
 
 
 def test_pdf_unbounded_at_origin_for_negative_delta():

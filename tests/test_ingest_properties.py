@@ -5,6 +5,9 @@ Every file, whatever its bytes, either reads into a well-formed
 after it.  Contents are raw bytes, or text over an alphabet of digits,
 delimiters, quotes, line breaks and the letters of nan/inf/e, so that
 both garbage and near-valid series are drawn.
+
+``ingest`` reads most files by one ``np.loadtxt`` call and hands the rest
+to the row parser ``_ingest_rows``; on any file the two agree exactly.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bgev import InputDataError, SeriesFile, block_maxima, ingest
+from bgev.pipeline import _ingest_rows, _read
 
 FUZZ = settings(
     max_examples=400,
@@ -58,3 +62,67 @@ def test_ingest_yields_series_or_input_error(tmp_path, data, missing, value_colu
         return
     assert b.maxima.size == (s.values.size + s.skipped) // block_size
     assert np.all(np.isfinite(b.maxima))
+
+
+def outcome(parse):
+    """Everything a caller can see of a parse: the SeriesFile, with the
+    values as bytes, or the InputDataError message."""
+    try:
+        s = parse()
+    except InputDataError as exc:
+        return ("error", str(exc))
+    return (s.rows.dtype, s.rows.tolist(), s.values.tobytes(), s.skipped, s.path, s.time_column, s.value_column)
+
+
+# Python-only float spellings (underscores, unicode digits), spaces that
+# float() and str.strip() take (no-break, separators), quotes and NUL
+odd_tokens = st.sampled_from(
+    ["", " ", " 1", "2 ", "\xa03", "1_000", "\u0663", '"4"', "'5'", "nan", "-inf", "1e400", "x", "0x1", "1.", ".5",
+     "+1", "-0", "1e-400", "5\x1c", "6\u2028", "\x00", "1,5", "1\t5"]
+)
+number_tokens = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:.6g}"),
+)
+
+
+@st.composite
+def tables(draw):
+    """Near-valid series files: a time column stepping by 1 (or, rarely,
+    not increasing), value columns of numbers with odd tokens mixed in,
+    an optional header, blank lines and short rows."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    ncol = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([1, 1, 1, 0, -1]))
+    cell = st.one_of(number_tokens, number_tokens, number_tokens, odd_tokens)
+    lines = []
+    if draw(st.booleans()):
+        lines.append(delimiter.join(draw(st.sampled_from(["t", "v", "x", "1", " v "])) for _ in range(ncol)))
+    for i in range(draw(st.integers(1, 12))):
+        row = [str(i * step)] + [draw(cell) for _ in range(ncol - 1)] if ncol > 1 else [draw(cell)]
+        if draw(st.integers(0, 9)) == 0:
+            row = row[: draw(st.integers(0, len(row)))]
+        lines.append(delimiter.join(row))
+        lines.extend([""] * draw(st.integers(0, 1)))
+    return ("\n" * draw(st.integers(0, 2)) + "\n".join(lines) + draw(st.sampled_from(["", "\n"]))).encode("utf-8")
+
+
+text_contents = st.text(alphabet="0123456789.,-+ \t\n\r\"'_\xa0\x00vtnaifeE", max_size=300).map(
+    lambda t: t.encode("utf-8")
+)
+
+
+@FUZZ
+@given(
+    data=st.one_of(text_contents, tables()),
+    missing=st.sampled_from(["skip", "fail"]),
+    # default columns more often, so that more files reach np.loadtxt
+    value_column=st.one_of(st.none(), selectors),
+    time_column=st.one_of(st.none(), selectors),
+)
+def test_fast_path_equals_row_parser(tmp_path, data, missing, value_column, time_column):
+    f = tmp_path / "diff.csv"
+    f.write_bytes(data)
+    kw = dict(value_column=value_column, time_column=time_column, missing=missing)
+    assert outcome(lambda: ingest(f, **kw)) == outcome(lambda: _ingest_rows(f, *_read(f), **kw))

@@ -14,6 +14,7 @@ from bgev import (
     sample,
     standardize,
 )
+from bgev import pipeline
 from bgev.data import bundled_path
 from bgev.pipeline import START_PRESETS, comparison_to_csv, comparison_to_text
 
@@ -125,6 +126,63 @@ def test_ingest_all_missing(tmp_path):
     f = write(tmp_path, "h.csv", "t,v\n1,\n2,\n")
     with pytest.raises(InputDataError):
         ingest(f)
+
+
+def spy_row_parser(monkeypatch) -> list:
+    """Record every call ``ingest`` makes to the row parser."""
+    calls = []
+    real = pipeline._ingest_rows
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_ingest_rows", spy)
+    return calls
+
+
+def test_ingest_reads_plain_files_column_wise(tmp_path, monkeypatch):
+    cases = [
+        (bundled_path("bimodal"), {}),
+        (write(tmp_path, "tab.tsv", "\n\ntime\tvalue\n1\t10\n\n2\t-2.5e3\n\n"), {}),
+        (write(tmp_path, "one.csv", "1.5\n2.5\n 3.5\xa0"), {}),
+        # the time column right of the value column, and a third column
+        (write(tmp_path, "three.csv", "v,t,x\n1,10,a\n2,20,b\n"), {"value_column": "v", "time_column": "t"}),
+    ]
+    calls = spy_row_parser(monkeypatch)
+    series = [ingest(f, **kw) for f, kw in cases]
+    assert calls == []
+    assert series[1].rows.tolist() == [0, 1] and series[1].values.tolist() == [10.0, -2500.0]
+    assert series[2].values.tolist() == [1.5, 2.5, 3.5]
+    assert series[3].values.tolist() == [1.0, 2.0] and series[3].time_column == "t"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param('t,v\n1,"2"\n2,3\n', id="quoted-value"),
+        pytest.param('t,note,v\n1,"x,2\n3,y",4\n', id="quoted-note-spanning-lines"),  # one row for csv
+        pytest.param("t,v\n2024-01-01T00,1\n2024-01-01T01,2\n", id="iso-timestamps"),
+        pytest.param("t,v\n1,1\n2,\n3,3\n", id="blank-value"),
+        pytest.param("t,v\n1,1\n2,nan\n3,3\n", id="non-finite-value"),
+        pytest.param("t,v\n1,1_000\n2,2\n", id="python-only-spelling"),  # float() takes it, loadtxt does not
+        pytest.param("t,v\n1,1\n \n2,2\n", id="whitespace-only-line"),
+        pytest.param("t,v\n1,1\n2\n3,3\n", id="short-row"),
+        pytest.param("t,note,v\n1,x,1\n2," + "y" * 131_073 + ",2\n", id="over-csv-field-limit"),
+    ],
+)
+def test_ingest_falls_back_to_row_parser(tmp_path, monkeypatch, body):
+    f = write(tmp_path, "fb.csv", body)
+    calls = spy_row_parser(monkeypatch)
+    try:
+        s = ingest(f)
+    except InputDataError as exc:
+        assert "field larger than field limit" in str(exc)
+        s = None
+    assert len(calls) == 1
+    if s is not None:
+        ref = pipeline._ingest_rows(f, *pipeline._read(f), None, None, "skip")
+        assert (s.rows.tolist(), s.values.tolist(), s.skipped) == (ref.rows.tolist(), ref.values.tolist(), ref.skipped)
 
 
 # ----------------------------------------------------------------------- blocks

@@ -152,6 +152,14 @@ def test_load_suite_config_errors(tmp_path):
         load_suite_config(str(bad))
 
 
+def test_load_suite_config_names_missing_keys(tmp_path):
+    cfg = tmp_path / "lacking.ini"
+    cfg.write_text("[grid ok]\nxi = 1\nmu = 0\ndelta = 0\nn = 50\n\n[cell a]\nxi = 0.5\nmu = 0\nm = 4\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_suite_config(str(cfg))
+    assert str(err.value) == f"{cfg}: [cell a] has no delta, n"
+
+
 def test_cell_is_a_one_point_grid(tmp_path):
     cfg = tmp_path / "one.ini"
     body = "xi = 0.5\nmu = 0\ndelta = 2\nn = 100\nm = 7\nseed = 11\n"

@@ -141,7 +141,7 @@ def _read(path) -> tuple[str, str]:
 
 
 def _check_increasing(path, times: np.ndarray) -> None:
-    if np.any(np.diff(times) <= 0):
+    if np.any(times[1:] <= times[:-1]):  # not np.diff, whose inf - inf is nan
         raise InputDataError(f"{path}: timestamps are not strictly increasing")
 
 
@@ -155,6 +155,24 @@ def _has_long_line(text: str, limit: int) -> bool:
             return True
         pos = nl + 1
     return False
+
+
+def _has_empty_field(body: str, delimiter: str) -> bool:
+    """True when some delimiter in ``body`` has another delimiter or a line
+    end on one side, that is when some line has an empty field."""
+    b = np.frombuffer(f"\n{body}\n".encode(), np.uint8)
+    sep = b == ord(delimiter)
+    edge = sep | (b == ord("\n"))
+    return bool(np.any(sep[1:] & edge[:-1]) or np.any(sep[:-1] & edge[1:]))
+
+
+def _fill_empty_fields(body: str, delimiter: str) -> str:
+    """``body`` with "nan" in every empty field of a line that has a
+    delimiter; a blank line stays blank."""
+    d, filled = delimiter, f"\n{body}\n"
+    for old, new in [(d + d, d + "nan" + d)] * 2 + [("\n" + d, "\nnan" + d), (d + "\n", d + "nan\n")]:
+        filled = filled.replace(old, new)
+    return filled[1:-1]
 
 
 def ingest(
@@ -176,22 +194,24 @@ def ingest(
     A file that cannot be read or parsed raises InputDataError.
 
     The body below the header is read column-wise by one ``np.loadtxt``
-    call.  A file that call cannot take as it stands goes to the row
-    parser, which alone counts missing values and names the ``file:line``
-    of a bad one, and the result is the same either way.  Those are files
-    with a quote, a NUL or a line longer than the csv field limit anywhere,
-    or with a blank, short, non-numeric or non-finite field in the value
-    or time column, which includes every file with non-numeric (say ISO
-    8601) timestamps: such files are read at the row parser's speed.
+    call, with each empty field read as nan; under "skip" a blank or
+    non-finite value is skipped there as the row parser would skip it.  A
+    file that call cannot read goes to the row parser, which gives the same
+    result and alone names the ``file:line`` of a bad value.  Those are
+    files with a quote, a NUL or a line longer than the csv field limit
+    anywhere, a short or whitespace-only line, a non-numeric value or time
+    field, or a blank timestamp in a row whose value is kept, and under
+    "fail" files with a missing value.  Files with non-numeric (say ISO
+    8601) timestamps are therefore read at the row parser's speed.
     """
     if missing not in ("skip", "fail"):
         raise InputDataError(f"missing-value policy must be 'skip' or 'fail', got {missing!r}")
     text, delimiter = _read(path)
-    s = _ingest_columns(path, text, delimiter, value_column, time_column)
+    s = _ingest_columns(path, text, delimiter, value_column, time_column, missing)
     return s if s is not None else _ingest_rows(path, text, delimiter, value_column, time_column, missing)
 
 
-def _ingest_columns(path, text: str, delimiter: str, value_column, time_column) -> SeriesFile | None:
+def _ingest_columns(path, text: str, delimiter: str, value_column, time_column, missing: str) -> SeriesFile | None:
     """``ingest`` by one ``np.loadtxt`` call over the body, or None where
     the row parser must read the file."""
     # quotes, NULs (csv.Error before Python 3.11) and over-long fields
@@ -206,6 +226,8 @@ def _ingest_columns(path, text: str, delimiter: str, value_column, time_column) 
     if body.count("\n") == len(body):  # blank lines only
         return None
     names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
+    if _has_empty_field(body, delimiter):
+        body = _fill_empty_fields(body, delimiter)
     try:
         table = np.loadtxt(
             io.StringIO(body),
@@ -217,18 +239,22 @@ def _ingest_columns(path, text: str, delimiter: str, value_column, time_column) 
         )
     except ValueError:
         return None
-    values = table[:, -1].copy()
-    if not np.isfinite(values).all():
-        return None
+    kept = np.isfinite(table[:, -1])
+    if not kept.any() or (missing == "fail" and not kept.all()):
+        return None  # the row parser finds no value or names the bad line
     if t_idx is not None:
-        _check_increasing(path, table[:, 0])
+        times = table[kept, 0]
+        if np.isnan(times).any():
+            return None  # a blank timestamp: the row parser checks no order
+        _check_increasing(path, times)
+    rows = np.flatnonzero(kept)
     return SeriesFile(
-        rows=np.arange(values.size),
-        values=values,
+        rows=rows,
+        values=table[kept, -1],
         path=str(path),
         time_column=names[t_idx] if t_idx is not None else None,
         value_column=names[v_idx],
-        skipped=0,
+        skipped=kept.size - rows.size,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ def test_ingest_rejects_decreasing_numeric_timestamps(tmp_path):
         ingest(f)
 
 
+@pytest.mark.parametrize("times", ["inf,inf", "-inf,-inf", "inf,1"])
+def test_ingest_rejects_repeated_infinite_timestamps(tmp_path, times):
+    t0, t1 = times.split(",")
+    f = write(tmp_path, "g.csv", f"t,v\n{t0},1\n{t1},2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputDataError, match="not strictly increasing"):
+            ingest(f)
+
+
 def test_ingest_missing_file():
     with pytest.raises(InputDataError):
         ingest("/no/such/file.csv")
@@ -158,30 +169,53 @@ def test_ingest_reads_plain_files_column_wise(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, value_column",
     [
-        pytest.param('t,v\n1,"2"\n2,3\n', id="quoted-value"),
-        pytest.param('t,note,v\n1,"x,2\n3,y",4\n', id="quoted-note-spanning-lines"),  # one row for csv
-        pytest.param("t,v\n2024-01-01T00,1\n2024-01-01T01,2\n", id="iso-timestamps"),
-        pytest.param("t,v\n1,1\n2,\n3,3\n", id="blank-value"),
-        pytest.param("t,v\n1,1\n2,nan\n3,3\n", id="non-finite-value"),
-        pytest.param("t,v\n1,1_000\n2,2\n", id="python-only-spelling"),  # float() takes it, loadtxt does not
-        pytest.param("t,v\n1,1\n \n2,2\n", id="whitespace-only-line"),
-        pytest.param("t,v\n1,1\n2\n3,3\n", id="short-row"),
-        pytest.param("t,note,v\n1,x,1\n2," + "y" * 131_073 + ",2\n", id="over-csv-field-limit"),
+        pytest.param("t,v\n1,1\n2,\n3,3\n", None, id="blank-value"),
+        pytest.param("t,v\n1,1\n\n2,nan\n3,-inf\n4,1e400\n5,5", None, id="non-finite-values"),
+        pytest.param(",\n1,,2\n\n,,\n3,4,5,\n", None, id="empty-fields-everywhere"),
+        pytest.param("t\tv\n1\t\n\t\n3\t3\n", None, id="tab-blank-time-in-skipped-row"),
+        pytest.param("t,x,v\n1,,1\n2,,2\n", None, id="blank-unused-column"),
+        pytest.param("t,a,v,b\n1,,,1\n2,2,2,2\n", "v", id="run-of-empty-fields"),
+        pytest.param("t,v\n1,1\n,nan\n3,3\n", None, id="only-empty-field-first-on-its-line"),
     ],
 )
-def test_ingest_falls_back_to_row_parser(tmp_path, monkeypatch, body):
+def test_ingest_skips_missing_values_column_wise(tmp_path, monkeypatch, body, value_column):
+    f = write(tmp_path, "gaps.csv", body)
+    calls = spy_row_parser(monkeypatch)
+    s = ingest(f, value_column=value_column)
+    assert calls == []
+    ref = pipeline._ingest_rows(f, *pipeline._read(f), value_column, None, "skip")
+    assert (s.rows.tolist(), s.values.tobytes(), s.skipped) == (ref.rows.tolist(), ref.values.tobytes(), ref.skipped)
+
+
+@pytest.mark.parametrize(
+    "body, missing",
+    [
+        pytest.param('t,v\n1,"2"\n2,3\n', "skip", id="quoted-value"),
+        pytest.param('t,note,v\n1,"x,2\n3,y",4\n', "skip", id="quoted-note-spanning-lines"),  # one row for csv
+        pytest.param("t,v\n2024-01-01T00,1\n2024-01-01T01,2\n", "skip", id="iso-timestamps"),
+        pytest.param("t,v\n1,1\n2,NA\n3,3\n", "skip", id="non-numeric-value"),
+        pytest.param("t,v\n1,1\n,2\n3,3\n", "skip", id="blank-time-of-a-kept-value"),  # no order check
+        pytest.param("t,v\n1,1\n2,\n3,3\n", "fail", id="blank-value-under-fail"),
+        pytest.param("t,v\n1,1\n2,nan\n3,3\n", "fail", id="non-finite-value-under-fail"),
+        pytest.param("t,v\n1,1_000\n2,2\n", "skip", id="python-only-spelling"),  # float() takes it, loadtxt does not
+        pytest.param("t,v\n1,1\n \n2,2\n", "skip", id="whitespace-only-line"),
+        pytest.param("t,v\n1,1\n2\n3,3\n", "skip", id="short-row"),
+        pytest.param("t,note,v\n1,x,1\n2," + "y" * 131_073 + ",2\n", "skip", id="over-csv-field-limit"),
+    ],
+)
+def test_ingest_falls_back_to_row_parser(tmp_path, monkeypatch, body, missing):
     f = write(tmp_path, "fb.csv", body)
     calls = spy_row_parser(monkeypatch)
     try:
-        s = ingest(f)
+        s = ingest(f, missing=missing)
     except InputDataError as exc:
-        assert "field larger than field limit" in str(exc)
+        assert "field larger than field limit" in str(exc) or str(exc).startswith(f"{f}:3: value ")
         s = None
     assert len(calls) == 1
     if s is not None:
-        ref = pipeline._ingest_rows(f, *pipeline._read(f), None, None, "skip")
+        ref = pipeline._ingest_rows(f, *pipeline._read(f), None, None, missing)
         assert (s.rows.tolist(), s.values.tolist(), s.skipped) == (ref.rows.tolist(), ref.values.tolist(), ref.skipped)
 
 

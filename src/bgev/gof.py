@@ -81,7 +81,8 @@ def ljung_box(x, lags: int = 10) -> LjungBoxReport:
     Q = n(n+2) * sum_{k=1..h} acf_k^2 / (n-k), referred to chi-squared with
     h degrees of freedom: the p-value is the regularized upper incomplete
     gamma at (h/2, Q/2), which stays finite for every admissible h.
-    Requires h < n/2 and a non-constant series.
+    Requires h < n/2 and a non-constant series whose sum of squared
+    deviations is a finite float.
     """
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
@@ -89,8 +90,11 @@ def ljung_box(x, lags: int = 10) -> LjungBoxReport:
         raise ValueError("lags must be >= 1")
     if not lags < n / 2:
         raise ValueError(f"need lags < n/2, got lags={lags}, n={n}")
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        denom = float(np.dot(centered, centered))
+    if not np.isfinite(denom):
+        raise ValueError("ljung_box: the spread of the series overflows a float")
     if denom == 0.0:
         raise ValueError("constant series has no autocorrelation structure")
     q = 0.0

@@ -9,6 +9,11 @@ completed.  Individual parameters can be pinned to fixed values, which is
 how the scale is held at its true value in simulation studies and how the
 plain GEV arises as the delta = 0 submodel.  The stopping tolerances and the
 fallback's iteration cap are module constants.
+
+There is one Newton, and it runs many samples of one size in lockstep:
+``fit_mle`` runs it on one sample, ``fit_mle_rows`` on all the replicates
+of a Monte Carlo cell at once.  Every damping, line-search and stop decision
+is made per row, so each row takes exactly the path it takes alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distribution import sample
-from .likelihood import PARAM_ORDER, hessian, kernel, log_likelihood
+from .likelihood import PARAM_ORDER, kernel, log_likelihood, row_dots
 from .neldermead import nelder_mead
 from .params import BgevParams, ParameterError
 
@@ -28,6 +33,7 @@ __all__ = [
     "FisherInformation",
     "InfeasibleStartError",
     "fit_mle",
+    "fit_mle_rows",
     "fisher_information",
     "default_start",
 ]
@@ -70,88 +76,253 @@ class FitResult:
     stop: str
 
 
-def _to_internal(p: BgevParams) -> np.ndarray:
-    return np.array([p.mu, math.log(p.sigma), math.log1p(p.delta), p.xi])
+def _to_internal(p: BgevParams) -> list[float]:
+    return [p.mu, math.log(p.sigma), math.log1p(p.delta), p.xi]
 
 
-def _from_internal(z: np.ndarray, fixed: dict[str, float]) -> BgevParams | None:
-    mu, lsg, ldl, xi = z
-    if not np.all(np.isfinite(z)):
-        return None
-    try:
-        kw = {
-            "mu": float(mu),
-            "sigma": float(math.exp(lsg)),
-            "delta": float(math.expm1(ldl)),
-            "xi": float(xi),
-        }
-        kw.update(fixed)  # pinned values bypass the log round trip exactly
-        if abs(kw["xi"]) < _XI_FLOOR:
-            return None
-        return BgevParams(**kw)
-    except (ParameterError, OverflowError):
-        return None
-
-
-def _ascent_step(neg_h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Solve (neg_h + lam*I) s = g for the first lam in 0, c, 10c, 100c, ...
-    (c = 1e-3 * max|diag(neg_h)|) at which Cholesky succeeds; None when
-    none does."""
-    eye = np.eye(g.size)
-    lam = 0.0
-    floor = 1e-3 * max(1.0, float(np.max(np.abs(np.diag(neg_h)))))
-    for _ in range(_MAX_DAMPINGS):
-        m = neg_h + lam * eye
+def _math_rows(f, v: np.ndarray) -> list[float]:
+    """math.exp or math.expm1 of each entry, inf where it overflows; numpy's
+    versions can differ in the last bit."""
+    out = []
+    for t in v.tolist():
         try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            lam = max(10.0 * lam, floor)
-            continue
-        return np.linalg.solve(m, g), lam
-    return None
+            out.append(f(t))
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
-def _newton(evaluate, z: np.ndarray, free_idx: list[int]):
-    """Damped Newton ascent from z over the free internal coordinates.
+# bounds of a natural parameter row (mu, sigma, delta, xi), both open: every
+# entry finite, sigma > 0 and delta > -1; |xi| >= _XI_FLOOR is checked apart
+_LOWER = np.array([-np.inf, 0.0, -1.0, -np.inf])
 
-    evaluate(z, order) returns (theta, kernel output) at the free coordinates
-    z, or (None, -inf) where z maps outside the parameter space.  Returns
-    (theta, ll, hessian, steps) at the first iterate whose undamped Newton
-    decrement g.s is below 2*_FTOL, or None when a derivative is non-finite,
-    no damping makes the system positive definite, the line search fails or
-    the step cap is reached.
+
+class _Space:
+    """The free internal coordinates of a fit and the pinned natural values."""
+
+    def __init__(self, fixed: dict[str, float]):
+        self.fixed = fixed
+        self.free = [i for i, name in enumerate(PARAM_ORDER) if name not in fixed]
+        self.free_block = np.ix_(self.free, self.free)
+        self.pinned = np.array([fixed.get(name, np.nan) for name in PARAM_ORDER], dtype=float)
+
+    def natural(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Natural parameter rows (mu, sigma, delta, xi) of the free internal
+        coordinates z (r, k), and the mask of rows inside the parameter
+        space; pinned values bypass the log round trip exactly."""
+        theta = np.empty((len(z), 4))
+        theta[:] = self.pinned
+        for j, col in enumerate(self.free):
+            theta[:, col] = z[:, j] if col in (0, 3) else _math_rows(math.exp if col == 1 else math.expm1, z[:, j])
+        inside = np.logical_and.reduce((theta > _LOWER) & (theta < np.inf), axis=1)
+        return theta, inside & (np.abs(theta[:, 3]) >= _XI_FLOOR)
+
+    def params(self, row: np.ndarray) -> BgevParams:
+        return BgevParams(**{**dict(zip(PARAM_ORDER, row.tolist())), **self.fixed})
+
+
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Mask of the matrices of a stack (r, k, k) that ``np.linalg.cholesky``
+    factors.  It raises for a whole stack when one member fails, so a
+    failing stack is split in halves until each failure stands alone; each
+    matrix gets LAPACK's own decision, as it does when factored alone."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(a) // 2
+        return np.concatenate([_positive_definite(a[:half]), _positive_definite(a[half:])])
+    return np.ones(len(a), dtype=bool)
+
+
+def _ascent_steps(neg_h: np.ndarray, g: np.ndarray):
+    """Solve (neg_h + lam*I) s = g for each row at the first lam in 0, c,
+    10c, 100c, ... (c = 1e-3 * max|diag(neg_h)|) at which Cholesky
+    succeeds.  Returns (s, lam, failed): failed indexes the rows at which
+    no damping does."""
+    r, k = g.shape
+    lam = np.zeros(r)
+    pd = _positive_definite(neg_h)
+    if False not in pd.tolist():
+        return np.linalg.solve(neg_h, g[:, :, None])[:, :, 0], lam, np.arange(0)
+    s = np.empty((r, k))
+    todo = np.arange(r)
+    a = neg_h
+    floor = 1e-3 * np.maximum(1.0, np.abs(np.diagonal(neg_h, axis1=1, axis2=2)).max(axis=1))
+    for attempt in range(_MAX_DAMPINGS):
+        if attempt:
+            lam[todo] = np.maximum(10.0 * lam[todo], floor[todo])
+            a = neg_h[todo] + lam[todo, None, None] * np.eye(k)
+            pd = _positive_definite(a)
+        if True in pd.tolist():
+            s[todo[pd]] = np.linalg.solve(a[pd], g[todo[pd], :, None])[:, :, 0]
+            todo = todo[~pd]
+            if not todo.size:
+                break
+    return s, lam, todo
+
+
+# the chain rule into (mu, log sigma, log1p delta, xi): the Jacobian row is
+# theta * _JAC_SCALE + _JAC_SHIFT = (1, sigma, 1 + delta, 1), and the first
+# derivatives of log sigma and log1p delta join the Hessian's diagonal
+_JAC_SCALE = np.array([0.0, 1.0, 1.0, 0.0])
+_JAC_SHIFT = np.array([1.0, 0.0, 1.0, 1.0])
+_DIAG_SG_DL = np.diag([0.0, 1.0, 1.0, 0.0])
+
+
+def _finite_rows(a: np.ndarray) -> np.ndarray:
+    return np.logical_and.reduce(np.isfinite(a.reshape(len(a), -1)), axis=1)
+
+
+def _probe(space: _Space, z: np.ndarray, x: np.ndarray):
+    """Log-likelihood of each row of x at its free internal coordinates z,
+    -inf where z leaves the parameter space; the mask of rows that were
+    evaluated; and the natural parameter rows."""
+    theta, ok = space.natural(z)
+    if False not in ok.tolist():
+        return kernel(theta, x, 0), ok, theta
+    ll = np.full(len(z), -np.inf)
+    if True in ok.tolist():
+        ll[ok] = kernel(theta[ok], x[ok], 0)
+    return ll, ok, theta
+
+
+def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
+    """Damped Newton ascent of every row of x (m, n) from its free internal
+    start z (m, k), all rows in lockstep.
+
+    Each row takes exactly the path it takes alone: its damping, its
+    Armijo backtracking and its stop are decided on its own numbers.  A row
+    stops at the first iterate whose undamped Newton decrement g.s is below
+    2*_FTOL and is frozen there.  It fails when its parameters leave the
+    space, a derivative is non-finite, no damping makes its system positive
+    definite, its line search fails or the step cap is reached.  Returns
+    (theta, ll, h, steps, evals, done): the final parameter rows (m, 4),
+    log-likelihoods (m,) and Hessians (m, 4, 4) of the rows that stopped,
+    each row's step count and likelihood evaluations, and the mask of rows
+    that stopped rather than failed.
+
+    The arrays of the rows still running are kept compact, and compacted
+    again only when rows stop or fail, so a step in which no row leaves
+    does no gathering or scattering.
     """
-    for steps in range(_NEWTON_MAX_STEPS):
-        theta, out = evaluate(z, 2)
-        if theta is None:
-            return None
-        ll, g, h = out
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            return None
-        # chain rule into (mu, log sigma, log1p delta, xi)
-        jac = np.array([1.0, theta.sigma, 1.0 + theta.delta, 1.0])
+    m = len(x)
+    theta_out = np.full((m, 4), np.nan)
+    ll_out = np.full(m, -np.inf)
+    h_out = np.full((m, 4, 4), np.nan)
+    steps = np.zeros(m, dtype=int)
+    evals = np.zeros(m, dtype=int)
+    done = np.zeros(m, dtype=bool)
+    free, block = space.free, space.free_block
+    # the running rows: original row, evaluations, free internal and
+    # natural coordinates, and data; an accepted line-search probe hands
+    # its natural coordinates on to the next iterate
+    idx, ev = np.arange(m), np.zeros(m, dtype=int)
+    theta, ok = space.natural(z)
+    z = z.copy()
+    if False in ok.tolist():
+        idx, z, x, theta = idx[ok], z[ok], x[ok], theta[ok]
+    for step in range(_NEWTON_MAX_STEPS):
+        if not idx.size:
+            break
+        ev += 1
+        ll, g, h = kernel(theta, x, 2)
+        ok = _finite_rows(g) & _finite_rows(h)
+        if False in ok.tolist():
+            evals[idx[~ok]] = ev[~ok]
+            idx, ev, z, x, theta, ll, g, h = idx[ok], ev[ok], z[ok], x[ok], theta[ok], ll[ok], g[ok], h[ok]
+            if not idx.size:
+                break
+        jac = theta * _JAC_SCALE + _JAC_SHIFT
         g_z = jac * g
-        h_z = jac[:, None] * h * jac
-        h_z[1, 1] += g_z[1]
-        h_z[2, 2] += g_z[2]
-        g_z = g_z[free_idx]
-        step = _ascent_step(-h_z[np.ix_(free_idx, free_idx)], g_z)
-        if step is None:
-            return None
-        s, lam = step
-        slope = float(g_z @ s)
-        if lam == 0.0 and slope < 2.0 * _FTOL:
-            return theta, ll, h, steps
+        h_z = jac[:, :, None] * h * jac[:, None, :] + g_z[:, None, :] * _DIAG_SG_DL
+        g_z = g_z[:, free]
+        s, lam, failed = _ascent_steps(-h_z[:, block[0], block[1]], g_z)
+        slope = row_dots(g_z, s)
+        stop = (lam == 0.0) & (slope < 2.0 * _FTOL)
+        if failed.size or True in stop.tolist():
+            ids = idx[stop]
+            theta_out[ids], ll_out[ids], h_out[ids] = theta[stop], ll[stop], h[stop]
+            steps[ids] = step
+            done[ids] = True
+            go = ~stop
+            go[failed] = False
+            evals[idx[~go]] = ev[~go]
+            idx, ev, z, x, theta, ll, s, slope = idx[go], ev[go], z[go], x[go], theta[go], ll[go], s[go], slope[go]
+            if not idx.size:
+                break
+        # backtracking line search; the rows still searching share alpha
+        at = np.arange(len(idx))  # their positions among the running rows
+        zs, ss, xs, lls, slopes = z, s, x, ll, slope
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
-            z_try = z + alpha * s
-            if evaluate(z_try, 0)[1] >= ll + _ARMIJO * alpha * slope:
+            z_try = zs + alpha * ss
+            ll_try, evaluated, theta_try = _probe(space, z_try, xs)
+            ev[at] += evaluated
+            accept = ll_try >= lls + _ARMIJO * alpha * slopes
+            z[at[accept]], theta[at[accept]] = z_try[accept], theta_try[accept]
+            if False not in accept.tolist():
+                at = at[:0]
                 break
+            if True in accept.tolist():
+                wait = ~accept
+                at, zs, ss, xs, lls, slopes = at[wait], zs[wait], ss[wait], xs[wait], lls[wait], slopes[wait]
             alpha *= 0.5
-        else:
-            return None
-        z = z_try
-    return None
+        if at.size:  # these rows found no acceptable step
+            go = np.ones(len(idx), dtype=bool)
+            go[at] = False
+            evals[idx[at]] = ev[at]
+            idx, ev, z, x, theta = idx[go], ev[go], z[go], x[go], theta[go]
+    evals[idx] = ev
+    return theta_out, ll_out, h_out, steps, evals, done
+
+
+def _result(theta_hat, ll_hat, h, start, converged, iterations, n_eval, stop) -> FitResult:
+    fim = None
+    std = None
+    if np.all(np.isfinite(h)):
+        fim = -h  # observed information; the kernel's Hessian is exactly symmetric
+        try:
+            np.linalg.cholesky(fim)  # positive definiteness gate
+            std = np.sqrt(np.diag(np.linalg.inv(fim)))
+        except np.linalg.LinAlgError:
+            std = None
+    return FitResult(
+        theta_hat=theta_hat,
+        neg2loglik=-2.0 * float(ll_hat),
+        converged=converged,
+        iterations=int(iterations),
+        fim=fim,
+        std_errors=std,
+        start=start,
+        n_eval=int(n_eval),
+        stop=stop,
+    )
+
+
+def _checked_space(x: np.ndarray, fixed: dict[str, float] | None) -> _Space:
+    """Checks shared by every sample of a fit, and its coordinate space."""
+    if x.shape[-1] < 8:
+        raise ValueError(f"need at least 8 observations, got {x.shape[-1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample contains non-finite values")
+    fixed = fixed or {}
+    unknown = set(fixed) - set(PARAM_ORDER)
+    if unknown:
+        raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
+    space = _Space(fixed)
+    if not space.free:
+        raise ValueError("all parameters fixed, nothing to optimize")
+    return space
+
+
+def _subset(x: np.ndarray, rows: list[int]) -> np.ndarray:
+    """The given rows of x, without a copy when they are all of them."""
+    return x if len(rows) == len(x) else x[rows]
+
+
+_INFEASIBLE = "starting parameters give zero likelihood (data outside their support)"
 
 
 def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitResult:
@@ -166,80 +337,77 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
     through the converged flag, never raised; the best point seen is still
     returned and its -2 log-likelihood never exceeds the start's.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size < 8:
-        raise ValueError(f"need at least 8 observations, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample contains non-finite values")
-    fixed = fixed or {}
-    unknown = set(fixed) - set(PARAM_ORDER)
-    if unknown:
-        raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
-    free_idx = [i for i, name in enumerate(PARAM_ORDER) if name not in fixed]
-    if not free_idx:
-        raise ValueError("all parameters fixed, nothing to optimize")
-    start = replace(start, **fixed)  # validates the pinned values
+    x = np.asarray(x, dtype=float).ravel()
+    space = _checked_space(x, fixed)
+    start = replace(start, **space.fixed)  # validates the pinned values
 
     n_eval = 1
     if not np.isfinite(kernel(start, x, 0)):
-        raise InfeasibleStartError(
-            "starting parameters give zero likelihood (data outside their support)"
-        )
-    z_base = _to_internal(start)
+        raise InfeasibleStartError(_INFEASIBLE)
+    x = x[None]
+    z0 = np.array([_to_internal(start)])[:, space.free]
+    theta, ll, h, steps, evals, done = _newton(x, z0, space)
+    n_eval += int(evals[0])
+    if done[0]:
+        return _result(space.params(theta[0]), ll[0], h[0], start, True, steps[0], n_eval, "newton")
 
-    def evaluate(z_free: np.ndarray, order: int):
+    def objective(z_free: np.ndarray) -> float:
         nonlocal n_eval
-        z = z_base.copy()
-        z[free_idx] = z_free
-        theta = _from_internal(z, fixed)
-        if theta is None:
-            return None, -np.inf
-        n_eval += 1
-        return theta, kernel(theta, x, order)
+        ll, evaluated, _ = _probe(space, z_free[None], x)
+        n_eval += int(evaluated[0])
+        return -ll[0]
 
-    newton = _newton(evaluate, z_base[free_idx], free_idx)
-    if newton is not None:
-        theta_hat, ll_hat, h, iterations = newton
-        converged, stop = True, "newton"
-    else:
-        res = nelder_mead(
-            lambda z: -evaluate(z, 0)[1],
-            z_base[free_idx],
-            ftol=_FTOL,
-            xtol=_XTOL,
-            max_iter=_MAX_ITER,
-        )
-        z_hat = z_base.copy()
-        z_hat[free_idx] = res.x
-        theta_hat = _from_internal(z_hat, fixed)
-        if theta_hat is None or not np.isfinite(res.fun):
-            # optimizer never left the infeasible region; report the start itself
-            theta_hat = start
-        n_eval += 1
-        ll_hat, _, h = kernel(theta_hat, x, 2)
-        converged, stop, iterations = res.converged, res.stop, res.iterations
+    res = nelder_mead(objective, z0[0], ftol=_FTOL, xtol=_XTOL, max_iter=_MAX_ITER)
+    theta, ok = space.natural(res.x[None])
+    # an optimizer that never left the infeasible region reports the start itself
+    theta_hat = space.params(theta[0]) if ok[0] and np.isfinite(res.fun) else start
+    n_eval += 1
+    ll_hat, _, h = kernel(theta_hat, x[0], 2)
+    return _result(theta_hat, ll_hat, h, start, res.converged, res.iterations, n_eval, res.stop)
 
-    fim = None
-    std = None
-    if np.all(np.isfinite(h)):
-        fim = -h  # observed information; the kernel's Hessian is exactly symmetric
+
+def fit_mle_rows(
+    x, starts: list[BgevParams], fixed: dict[str, float] | None = None
+) -> list[FitResult | InfeasibleStartError | ParameterError]:
+    """``fit_mle`` on every row of x (m, n), each from its own start, with
+    one Newton run for all rows in lockstep.
+
+    Entry r is exactly ``fit_mle(x[r], starts[r], fixed)``, or the
+    InfeasibleStartError or ParameterError that call raises.  A row the
+    lockstep Newton cannot finish is refitted by ``fit_mle`` alone, whose
+    Newton fails the same way before Nelder-Mead takes over.  Errors shared
+    by all rows (too few observations, non-finite data, bad fixed names)
+    raise.
+    """
+    x = np.asarray(x, dtype=float)
+    space = _checked_space(x, fixed)
+    out: list = [None] * len(x)
+    starts = list(starts)
+    rows, feasible = [], []
+    for r, start in enumerate(starts):
         try:
-            np.linalg.cholesky(fim)  # positive definiteness gate
-            std = np.sqrt(np.diag(np.linalg.inv(fim)))
-        except np.linalg.LinAlgError:
-            std = None
-
-    return FitResult(
-        theta_hat=theta_hat,
-        neg2loglik=-2.0 * ll_hat,
-        converged=converged,
-        iterations=iterations,
-        fim=fim,
-        std_errors=std,
-        start=start,
-        n_eval=n_eval,
-        stop=stop,
-    )
+            starts[r] = replace(start, **space.fixed)
+        except ParameterError as exc:
+            out[r] = exc
+        else:
+            rows.append(r)
+    if rows:
+        theta = np.array([[s.mu, s.sigma, s.delta, s.xi] for s in (starts[r] for r in rows)])
+        ok = np.isfinite(kernel(theta, _subset(x, rows), 0))
+        for r, good in zip(rows, ok.tolist()):
+            if good:
+                feasible.append(r)
+            else:
+                out[r] = InfeasibleStartError(_INFEASIBLE)
+    if feasible:
+        z0 = np.array([_to_internal(starts[r]) for r in feasible])[:, space.free]
+        theta, ll, h, steps, evals, done = _newton(_subset(x, feasible), z0, space)
+        for j, r in enumerate(feasible):
+            if done[j]:
+                out[r] = _result(space.params(theta[j]), ll[j], h[j], starts[r], True, steps[j], 1 + evals[j], "newton")
+            else:
+                out[r] = fit_mle(x[r], starts[r], space.fixed)
+    return out
 
 
 def default_start(x) -> BgevParams:
@@ -281,27 +449,27 @@ class FisherInformation:
 
 
 def fisher_information(theta: BgevParams, m: int, n: int, seed: int) -> FisherInformation:
-    """Average -hessian(theta, sample_n)/n over m seeded replicates."""
+    """Average -hessian(theta, sample_n)/n over m seeded replicates.
+
+    Replicate r is drawn from the stream seeded by (seed, r); all m Hessians
+    come from one batched kernel call."""
     if m < 30:
         raise ValueError(f"need m >= 30 replicates, got {m}")
-    mats = []
-    failed = 0
+    xs = np.empty((m, n))
     for r in range(m):
-        rng = np.random.default_rng([int(seed), r])
-        xr = sample(n, theta, rng)
-        h = hessian(theta, xr)
-        if np.all(np.isfinite(h)):
-            mats.append(-h / n)
-        else:
-            failed += 1
-    if not mats:
+        xs[r] = sample(n, theta, np.random.default_rng([int(seed), r]))
+    rows = np.tile([theta.mu, theta.sigma, theta.delta, theta.xi], (m, 1))
+    h = kernel(rows, xs, 2)[2]
+    good = np.isfinite(h).all(axis=(1, 2))
+    if not good.any():
         raise ArithmeticError("every replicate produced an invalid Hessian")
-    stack = np.stack(mats)
+    stack = -h[good] / n
+    used = len(stack)
     mean = stack.mean(axis=0)
-    se = stack.std(axis=0, ddof=1) / math.sqrt(len(mats))
+    se = stack.std(axis=0, ddof=1) / math.sqrt(used)
     return FisherInformation(
         matrix=0.5 * (mean + mean.T),
         mc_std_error=se,
-        replicates_used=len(mats),
-        replicates_failed=failed,
+        replicates_used=used,
+        replicates_failed=m - used,
     )

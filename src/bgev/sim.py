@@ -1,12 +1,15 @@
 """Monte Carlo evaluation of the maximum-likelihood estimator.
 
 One cell draws m replicate samples of size n at a known parameter vector,
-refits each by ``fit_mle`` (damped Newton, Nelder-Mead fallback) from a
-"truth plus uniform(0,1)" start, and aggregates empirical mean, bias and
-mean squared error per parameter.  The
-scale parameter is held at its true value during the refits, mirroring the
-three-parameter (xi, mu, delta) study design the tables follow; the free
-parameters are exactly the columns of the report.
+refits them from "truth plus uniform(0,1)" starts and aggregates empirical
+mean, bias and mean squared error per parameter.  The refits run as one
+``fit_mle_rows`` call: damped Newton on all m replicates in lockstep, with
+a replicate that Newton cannot finish refitted alone by ``fit_mle``
+(Nelder-Mead fallback).  Each replicate's fit is exactly the one
+``fit_mle`` gives it alone.  The scale parameter is held at its true value
+during the refits, mirroring the three-parameter (xi, mu, delta) study
+design the tables follow; the free parameters are exactly the columns of
+the report.
 
 Seeding is splittable: replicate r of a cell with seed s uses the stream
 seeded by (s, r), so serial and parallel executions produce identical
@@ -17,14 +20,15 @@ from __future__ import annotations
 
 import configparser
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .distribution import sample
-from .likelihood import log_likelihood
-from .mle import InfeasibleStartError, fit_mle
+from .likelihood import kernel
+from .mle import InfeasibleStartError, fit_mle_rows
 from .params import BgevParams, ParameterError, csv_text
 
 __all__ = [
@@ -77,6 +81,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimReport:
+    """Aggregates of one cell.  drops counts the failed replicates by cause:
+    "infeasible_start", "parameter_error" or "not_converged:<stop>" with
+    the fallback's stop.  Like wall_time it is a diagnostic: it takes no
+    part in comparisons and is written to no output file."""
+
     config: SimConfig
     mean: dict[str, float]
     bias: dict[str, float]
@@ -84,6 +93,7 @@ class SimReport:
     failures: int
     replicates_used: int
     wall_time: float = field(compare=False)
+    drops: dict[str, int] = field(compare=False, default_factory=dict)
 
 
 def _project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevParams:
@@ -95,45 +105,62 @@ def _project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevPara
     return BgevParams(xi=xi, mu=mu, sigma=truth.sigma, delta=delta)
 
 
+def _starts(truth: BgevParams, xs: np.ndarray, shifts: np.ndarray) -> list[BgevParams]:
+    """Each replicate's start: the truth plus lam times its shift, at the
+    first lam in 1, 1/2, 1/4, ... (40 tries) that puts its data inside the
+    support, else the truth itself.  All replicates are tried at once."""
+    starts = [truth] * len(xs)
+    todo = list(range(len(xs)))
+    lam = 1.0
+    for _ in range(40):
+        cands = [_project_start(truth, shifts[r], lam) for r in todo]
+        rows = np.array([[c.mu, c.sigma, c.delta, c.xi] for c in cands])
+        ok = np.isfinite(kernel(rows, xs if len(todo) == len(xs) else xs[todo], 0)).tolist()
+        for r, c, good in zip(todo, cands, ok):
+            if good:
+                starts[r] = c
+        todo = [r for r, good in zip(todo, ok) if not good]
+        if not todo:
+            break
+        lam *= 0.5
+    return starts
+
+
 def run_cell(cfg: SimConfig) -> SimReport:
     """Run every replicate of one cell and aggregate the estimates.
 
-    Each replicate is refitted with sigma pinned to its true value, from a
-    start whose free coordinates are the true values plus independent
-    uniform(0,1) draws, shrunk toward the truth until the replicate's data
-    are inside its support (the truth itself if no shrink gets there).
-    Non-convergent or infeasible replicates are excluded from the moments
-    and counted; more than a fifth of m of them raises SimCellError.
+    All m samples and their starts are drawn first, each from its own
+    (seed, r) stream, and then fitted together by ``fit_mle_rows``.  Each
+    replicate is refitted with sigma pinned to its true value, from a start
+    whose free coordinates are the true values plus independent uniform(0,1)
+    draws, shrunk toward the truth until the replicate's data are inside
+    its support (the truth itself if no shrink gets there).  Non-convergent
+    or infeasible replicates are excluded from the moments and counted by
+    cause; more than a fifth of m of them raises SimCellError.
     """
     t0 = time.perf_counter()
     truth = cfg.truth
-    estimates: list[tuple[float, float, float]] = []
-    failures = 0
-
+    xs = np.empty((cfg.m, cfg.n))
+    shifts = np.empty((cfg.m, len(FREE_PARAMS)))
     for r in range(cfg.m):
         rng = np.random.default_rng([cfg.seed, r])
-        x = sample(cfg.n, truth, rng)
-        shift = rng.random(len(FREE_PARAMS))
+        xs[r] = sample(cfg.n, truth, rng)
+        shifts[r] = rng.random(len(FREE_PARAMS))
 
-        start = truth
-        lam = 1.0
-        for _ in range(40):
-            cand = _project_start(truth, shift, lam)
-            if np.isfinite(log_likelihood(cand, x)):
-                start = cand
-                break
-            lam *= 0.5
-
-        try:
-            res = fit_mle(x, start, {"sigma": truth.sigma})
-        except (InfeasibleStartError, ParameterError):
-            failures += 1
-            continue
-        if not res.converged:
-            failures += 1
-            continue
-        th = res.theta_hat
-        estimates.append((th.xi, th.mu, th.delta))
+    fits = fit_mle_rows(xs, _starts(truth, xs, shifts), {"sigma": truth.sigma})
+    estimates: list[tuple[float, float, float]] = []
+    drops: Counter[str] = Counter()
+    for res in fits:
+        if isinstance(res, InfeasibleStartError):
+            drops["infeasible_start"] += 1
+        elif isinstance(res, ParameterError):
+            drops["parameter_error"] += 1
+        elif not res.converged:
+            drops[f"not_converged:{res.stop}"] += 1
+        else:
+            th = res.theta_hat
+            estimates.append((th.xi, th.mu, th.delta))
+    failures = sum(drops.values())
 
     if failures > _MAX_FAILURE_RATE * cfg.m:
         raise SimCellError(
@@ -153,6 +180,7 @@ def run_cell(cfg: SimConfig) -> SimReport:
         failures=failures,
         replicates_used=len(estimates),
         wall_time=time.perf_counter() - t0,
+        drops=dict(drops),
     )
 
 

@@ -154,6 +154,19 @@ def test_fit_overflowing_spread_exits_2_without_warnings(tmp_path):
     assert res.stderr == "error: cannot standardize: the spread of the block maxima overflows a float\n"
 
 
+def test_fit_no_standardize_overflowing_series_exits_2_without_warnings(tmp_path):
+    # unstandardized, the 1e300 maximum reaches the Ljung-Box test, whose
+    # sum of squared deviations overflows
+    rows = "".join(f"{i},{1e300 if i == 1000 else 1.0 + (i * 7) % 11}\n" for i in range(2400))
+    (tmp_path / "big.csv").write_text("t,v\n" + rows)
+    res = subprocess.run(
+        [sys.executable, "-m", "bgev.cli", "fit", "--input", "big.csv", "--no-standardize"],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+    )
+    assert res.returncode == 2
+    assert res.stderr == "error: ljung_box: the spread of the series overflows a float\n"
+
+
 def test_fit_value_col_selectors(tmp_path, capsys):
     outputs = []
     for sel in ("1", "value"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_ljung_box_input_validation():
         ljung_box(np.ones(50), lags=5)  # constant series
     with pytest.raises(ValueError):
         ljung_box(np.arange(10.0), lags=5)  # lags >= n/2
+
+
+@pytest.mark.parametrize("big", [[1e300], [1e308, 1e308]])
+def test_ljung_box_overflowing_spread_raises_without_warnings(big):
+    # the sum of squared deviations (or the mean itself) is not a finite float
+    x = 1.0 + np.arange(100.0) % 7
+    x[10 : 10 + len(big)] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spread of the series overflows"):
+            ljung_box(x, lags=5)
 
 
 # ----------------------------------------------------------------------- QQ

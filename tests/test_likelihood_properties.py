@@ -13,10 +13,12 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bgev import BgevParams, pdf, sample, transform_inverse
+from bgev import likelihood
 from bgev.likelihood import kernel
 
 EPS = np.finfo(float).eps
@@ -188,3 +190,89 @@ def test_no_runtime_warnings(p, n, seed, mu_shift):
         for theta in (p, probe):
             for order in (0, 1, 2):
                 kernel(theta, x, order)
+
+
+def as_row(p: BgevParams) -> list[float]:
+    return [p.mu, p.sigma, p.delta, p.xi]
+
+
+def same(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def feasible_or_broken(p: BgevParams, x: np.ndarray, kind: str, overshoot: float):
+    """The row (parameters, data) of one sample: as drawn, or made
+    infeasible by kind -- an observation past the support edge, one at the
+    origin with delta != 0, or one whose psi overflows to inf."""
+    x = x.copy()
+    if kind == "outside":
+        t = p.sigma * x * np.abs(x) ** p.delta
+        k = int(np.argmin(p.xi * t))
+        p = BgevParams(mu=float(t[k]) + (1.0 + overshoot) / p.xi, sigma=p.sigma, delta=p.delta, xi=p.xi)
+    elif kind == "origin":
+        p = BgevParams(mu=p.mu, sigma=p.sigma, delta=p.delta if p.delta != 0.0 else 0.5, xi=p.xi)
+        x[0] = 0.0
+    elif kind == "psi_inf":
+        # sigma * x * |x|**delta overflows on the side where psi grows
+        p = BgevParams(mu=p.mu, sigma=p.sigma, delta=abs(p.delta) + 0.5, xi=p.xi)
+        x[0] = math.copysign(1e300, p.xi)
+    return p, x
+
+
+# delta also takes the exponents numpy's ``**`` special-cases
+cell_params = st.builds(
+    BgevParams,
+    xi=xis,
+    mu=st.floats(-3.0, 3.0),
+    sigma=st.floats(math.log(0.2), math.log(5.0)).map(math.exp),
+    delta=st.one_of(st.floats(-0.95, 5.0), st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+)
+rows_of_a_cell = st.lists(
+    st.tuples(cell_params, st.integers(0, 2**32 - 1), st.sampled_from(["feasible"] * 3 + ["outside", "origin", "psi_inf"])),
+    min_size=2,
+    max_size=7,
+)
+
+
+@PROPERTY
+@given(rows_of_a_cell, st.integers(8, 60), st.floats(1e-6, 2.0))
+def test_batched_rows_equal_rows_alone(cells, n, overshoot):
+    # one (m, n) call over mixed rows: each row is bitwise the 1-D call on
+    # that row, infeasible rows carry the sentinels in their own row only,
+    # and nothing warns
+    rows = [feasible_or_broken(p, interior_sample(p, n, seed), kind, overshoot) for p, seed, kind in cells]
+    theta = np.array([as_row(p) for p, _ in rows])
+    xs = np.array([x for _, x in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = [kernel(theta, xs, order) for order in (0, 1, 2)]
+        alone = [[kernel(p, x, order) for p, x in rows] for order in (0, 1, 2)]
+    for order in (0, 1, 2):
+        for i, ((p, x), (_, _, kind)) in enumerate(zip(rows, cells)):
+            one = alone[order][i]
+            if order == 0:
+                assert same(batched[0][i], one)
+            else:
+                assert all(same(b[i], o) for b, o in zip(batched[order], one))
+            ll = one if order == 0 else one[0]
+            if kind != "feasible":
+                assert ll == -np.inf
+                assert order == 0 or all(np.all(np.isnan(v)) for v in one[1:])
+            else:
+                assert math.isfinite(ll)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_batched_rows_split_into_chunks(order):
+    # five rows of this size run through the kernel as chunks of 3 and 2
+    n = likelihood._CHUNK // 3
+    p = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
+    rows = [BgevParams(xi=0.5 + 0.05 * i, mu=0.1 * i, sigma=1.0, delta=2.0 - 0.2 * i) for i in range(5)]
+    xs = np.array([sample(n, p, seed) for seed in range(5)])
+    batched = kernel(np.array([as_row(q) for q in rows]), xs, order)
+    for i, (q, x) in enumerate(zip(rows, xs)):
+        one = kernel(q, x, order)
+        if order == 0:
+            assert same(batched[i], one)
+        else:
+            assert all(same(b[i], o) for b, o in zip(batched, one))

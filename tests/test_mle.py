@@ -219,6 +219,34 @@ def test_fallback_when_likelihood_runs_off():
     assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
 
 
+def count_kernel_rows(monkeypatch) -> list[int]:
+    """Route mle's kernel through a counter of the samples it evaluates."""
+    rows = []
+    real = mle.kernel
+
+    def counted(theta, x, order=2):
+        rows.append(1 if isinstance(theta, BgevParams) else len(theta))
+        return real(theta, x, order)
+
+    monkeypatch.setattr(mle, "kernel", counted)
+    return rows
+
+
+def test_n_eval_counts_every_likelihood_evaluation(monkeypatch):
+    # a line-search probe of replicate r = 3 leaves the parameter space;
+    # such a probe is rejected without an evaluation and costs nothing
+    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
+    reps = [study_replicate(truth, 50, seed=28, r=r) for r in range(6)]
+    rows = count_kernel_rows(monkeypatch)
+    res = fit_mle(*reps[3], SIGMA_FIXED)
+    assert res.stop == "newton" and res.n_eval == sum(rows)
+    rows.clear()
+    fits = mle.fit_mle_rows(np.array([x for x, _ in reps]), [s for _, s in reps], SIGMA_FIXED)
+    assert all(f.stop == "newton" for f in fits)
+    assert sum(f.n_eval for f in fits) == sum(rows)
+    assert fits[3].n_eval == res.n_eval
+
+
 def test_fixed_parameters_respected():
     truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
     x = sample(200, truth, seed=31)
@@ -301,6 +329,24 @@ def test_fisher_information_mc_error_shrinks():
     # entrywise MC standard error scales like 1/sqrt(m): expect ~2x shrink
     ratio = np.median(small.mc_std_error / np.maximum(big.mc_std_error, 1e-300))
     assert 1.4 < ratio < 2.9
+
+
+def test_fisher_information_skips_invalid_hessians(monkeypatch):
+    # replicates whose Hessian is not finite are left out of the average
+    # and counted
+    truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=1.0)
+    full = fisher_information(truth, m=40, n=100, seed=3)
+    real = mle.kernel
+
+    def every_fourth_invalid(theta, x, order=2):
+        ll, g, h = real(theta, x, order)
+        h[::4] = np.nan
+        return ll, g, h
+
+    monkeypatch.setattr(mle, "kernel", every_fourth_invalid)
+    part = fisher_information(truth, m=40, n=100, seed=3)
+    assert (part.replicates_used, part.replicates_failed) == (30, 10)
+    assert not np.array_equal(part.matrix, full.matrix) and np.all(np.isfinite(part.matrix))
 
 
 def test_fisher_information_requires_30_replicates():

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import bgev.sim as sim_mod
-from bgev import BgevParams, InfeasibleStartError, SimConfig, run_cell, run_suite
+from bgev import BgevParams, InfeasibleStartError, ParameterError, SimConfig, fit_mle, log_likelihood, run_cell, run_suite, sample
+from bgev.mle import fit_mle_rows
 from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table
 
 CELL = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=100, m=12, seed=5)
@@ -51,10 +55,11 @@ def test_single_cell_suite_equals_run_cell():
 
 
 def test_failure_budget_enforced(monkeypatch):
-    def always_diverges(x, start, fixed=None):
-        raise InfeasibleStartError("forced failure")
+    # every replicate's fit reports an infeasible start
+    def always_diverges(x, starts, fixed=None):
+        return [InfeasibleStartError("forced failure") for _ in starts]
 
-    monkeypatch.setattr(sim_mod, "fit_mle", always_diverges)
+    monkeypatch.setattr(sim_mod, "fit_mle_rows", always_diverges)
     with pytest.raises(SimCellError):
         run_cell(CELL)
     # the suite runner contains the damage and reports it
@@ -66,10 +71,10 @@ def test_failure_budget_enforced(monkeypatch):
 def test_unexpected_fit_error_propagates(monkeypatch):
     # only infeasible starts and inadmissible parameters count as replicate
     # failures; any other ValueError is a defect and must surface
-    def broken(x, start, fixed=None):
+    def broken(x, starts, fixed=None):
         raise ValueError("programming error")
 
-    monkeypatch.setattr(sim_mod, "fit_mle", broken)
+    monkeypatch.setattr(sim_mod, "fit_mle_rows", broken)
     with pytest.raises(ValueError, match="programming error"):
         run_cell(CELL)
     reports, errors = run_suite([CELL])
@@ -169,3 +174,73 @@ def test_cell_is_a_one_point_grid(tmp_path):
     cfg.write_text("[cell a]\nxi = 0.5, 1\nmu = 0\ndelta = 2\nn = 100\n", encoding="utf-8")
     with pytest.raises(ValueError, match="one value per key"):
         load_suite_config(str(cfg))
+
+
+# the mc_study cell whose replicate r = 2 has no interior maximum with sigma
+# pinned: Newton hands over and Nelder-Mead stops at its iteration cap
+RUNAWAY = SimConfig(truth=BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5), n=50, m=20, seed=34009)
+STUDY = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=250, m=20, seed=1)
+
+
+def per_replicate_fits(cfg: SimConfig):
+    """fit_mle on each replicate alone, from the start run_cell gives it."""
+    fits = []
+    for r in range(cfg.m):
+        rng = np.random.default_rng([cfg.seed, r])
+        x = sample(cfg.n, cfg.truth, rng)
+        shift = rng.random(3)
+        start, lam = cfg.truth, 1.0
+        for _ in range(40):
+            cand = sim_mod._project_start(cfg.truth, shift, lam)
+            if np.isfinite(log_likelihood(cand, x)):
+                start = cand
+                break
+            lam *= 0.5
+        fits.append(fit_mle(x, start, {"sigma": cfg.truth.sigma}))
+    return fits
+
+
+@pytest.mark.parametrize("cfg", [RUNAWAY, STUDY], ids=["runaway", "study"])
+def test_lockstep_cell_equals_per_replicate_fits(cfg):
+    fits = per_replicate_fits(cfg)
+    used = [f.theta_hat for f in fits if f.converged]
+    est = np.array([[t.xi, t.mu, t.delta] for t in used])
+    rep = run_cell(cfg)
+    assert rep.failures == cfg.m - len(used)
+    assert rep.replicates_used == len(used)
+    truth = np.array([cfg.truth.xi, cfg.truth.mu, cfg.truth.delta])
+    mean = est.mean(axis=0)
+    assert [rep.mean[k] for k in ("xi", "mu", "delta")] == mean.tolist()
+    assert [rep.mse[k] for k in ("xi", "mu", "delta")] == ((est - truth) ** 2).mean(axis=0).tolist()
+    # and replicate by replicate, every field of the fit
+    xs = np.array([sample(cfg.n, cfg.truth, np.random.default_rng([cfg.seed, r])) for r in range(cfg.m)])
+    lockstep = fit_mle_rows(xs, [f.start for f in fits], {"sigma": cfg.truth.sigma})
+    for alone, batched in zip(fits, lockstep):
+        assert batched.theta_hat == alone.theta_hat
+        assert batched.neg2loglik == alone.neg2loglik
+        assert (batched.converged, batched.stop, batched.iterations, batched.n_eval) == (
+            alone.converged, alone.stop, alone.iterations, alone.n_eval,
+        )
+        assert np.array_equal(batched.fim, alone.fim) and np.array_equal(batched.std_errors, alone.std_errors)
+
+
+def test_drops_name_the_cause_and_stay_out_of_outputs():
+    rep = run_cell(RUNAWAY)
+    assert rep.failures == 1 and rep.drops == {"not_converged:max_iter": 1}
+    clean = run_cell(STUDY)
+    assert clean.failures == 0 and clean.drops == {}
+    # a diagnostic like wall_time: no part of equality or of the output files
+    assert rep == replace(rep, drops={}, wall_time=0.0)
+    assert "max_iter" not in reports_to_csv([rep]) + reports_to_table([rep])
+
+
+def test_drops_count_start_and_parameter_errors(monkeypatch):
+    def two_errors(x, starts, fixed=None):
+        fits = fit_mle_rows(x, starts, fixed)
+        fits[0], fits[5] = InfeasibleStartError("forced"), ParameterError("forced")
+        return fits
+
+    monkeypatch.setattr(sim_mod, "fit_mle_rows", two_errors)
+    rep = run_cell(CELL)
+    assert rep.failures == 2 and rep.replicates_used == CELL.m - 2
+    assert rep.drops == {"infeasible_start": 1, "parameter_error": 1}

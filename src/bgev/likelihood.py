@@ -13,7 +13,11 @@ Infeasible evaluations (an observation outside the support of the candidate
 parameters, or sitting exactly at the origin with delta != 0) yield -inf for
 the log-likelihood and NaN arrays for its derivatives; optimizers treat
 these as rejected proposals, no exception is raised.  In a batched call
-only the infeasible rows carry these sentinels.
+only the infeasible rows carry these sentinels.  Nor does an admissible
+row at the edge of the float range raise: where a power of xi, sigma or
+1 + delta overflows or a square underflows, the entries it feeds take the
+IEEE result (sigma = 1e-170 gives d2/dsigma2 = -inf, say), and a
+non-finite entry makes the optimizer drop the row.
 """
 
 from __future__ import annotations
@@ -64,15 +68,16 @@ def _rows(theta: np.ndarray, x: np.ndarray, order: int):
             zero = absx == 0.0
             origin = zero.any(axis=1) & (theta[:, 2] != 0.0)
             L[zero] = 0.0
-        # row by row, as the one-sample formula: numpy's power special-cases
-        # a single exponent of 2 (and ``**`` a few more), so a batched call
-        # would differ from the row alone there
+        # one power for all rows, its exponent materialised to the data's
+        # shape: numpy's power squares or takes the square root for an
+        # exponent of 2 or 0.5 that is broadcast along a row of one call,
+        # so a scalar or (m, 1) exponent would part a row from itself alone
         w = x
-        for i, (_, e, _) in enumerate(params):
-            if e != 0.0:
-                if w is x:
-                    w = x.copy()
-                w[i] *= absx[i] ** e
+        if any(e for _, e, _ in params):
+            w = np.empty_like(x)
+            w[:] = theta[:, 2:3]
+            np.power(absx, w, out=w)
+            w *= x
         t = sg * w
         d = t - mu
         psi = 1.0 + xi * d
@@ -86,7 +91,7 @@ def _rows(theta: np.ndarray, x: np.ndarray, order: int):
             np.multiply(xi, w, out=p[:, 1])
             np.multiply(xi, tl, out=p[:, 2])
             p[:, 3] = d
-            powers = np.array([(v**2, v**3, v**4) for _, _, v in params]).T[:, :, None]
+            powers = np.array([(_pow(v, 2), _pow(v, 3), _pow(v, 4)) for _, _, v in params]).T[:, :, None]
             one_a = 1.0 - a
             np.divide(u * one_a, powers[0], out=q[:, 3])  # f_xi
             xi_psi = xi * psi
@@ -159,9 +164,19 @@ def _hessian_row(n, sg, dl, xi, h, cross, s_fpsi, s_fxixi, s_wl, s_w, s_tl, s_tl
     for j, c in enumerate(cross):
         h[4 * j + 3] += c
     h[15] += s_fxixi
-    h[5] -= n / sg**2
-    h[10] -= n / (1.0 + dl) ** 2
+    sg2 = _pow(sg, 2)
+    h[5] -= n / sg2 if sg2 else math.inf
+    h[10] -= n / _pow(1.0 + dl, 2)
     return h
+
+
+def _pow(v: float, k: int) -> float:
+    """v**k in floats, inf of v's sign where it overflows, which a float
+    power raises on."""
+    try:
+        return v**k
+    except OverflowError:
+        return math.copysign(math.inf, v) if k % 2 else math.inf
 
 
 def kernel(theta, x, order: int = 2):

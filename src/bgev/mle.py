@@ -59,10 +59,11 @@ class FitResult:
     fim is the observed information matrix -hessian(theta_hat) in natural
     coordinates, ordered (mu, sigma, delta, xi); std_errors are the square
     roots of the diagonal of its inverse and are present only when the
-    matrix is positive definite.  stop says how the search ended: "newton"
-    for a Newton finish, otherwise the Nelder-Mead fallback's "ftol", "xtol"
-    or "max_iter"; iterations counts the steps of that method and n_eval
-    every likelihood evaluation the fit made.
+    matrix is positive definite: its lowest eigenvalue (``eigvalsh``) is
+    above 0, the test the Newton damping uses.  stop says how the search
+    ended: "newton" for a Newton finish, otherwise the Nelder-Mead
+    fallback's "ftol", "xtol" or "max_iter"; iterations counts the steps of
+    that method and n_eval every likelihood evaluation the fit made.
     """
 
     theta_hat: BgevParams
@@ -121,46 +122,62 @@ class _Space:
         return BgevParams(**{**dict(zip(PARAM_ORDER, row.tolist())), **self.fixed})
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Mask of the matrices of a stack (r, k, k) that ``np.linalg.cholesky``
-    factors.  It raises for a whole stack when one member fails, so a
-    failing stack is split in halves until each failure stands alone; each
-    matrix gets LAPACK's own decision, as it does when factored alone."""
+def _per_matrix(f, a: np.ndarray, *b: np.ndarray):
+    """``f`` (``np.linalg.solve`` or ``inv``) over a stack (r, k, k), and
+    the indices of the matrices LAPACK finds exactly singular, whose rows of
+    the result are nan.  One such member makes the stacked call raise, so
+    only then is each matrix taken alone; a matrix whose lowest eigenvalue
+    is a rounding error above 0 can be one."""
     try:
-        np.linalg.cholesky(a)
+        return f(a, *b), _NO_ROWS
     except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros(1, dtype=bool)
-        half = len(a) // 2
-        return np.concatenate([_positive_definite(a[:half]), _positive_definite(a[half:])])
-    return np.ones(len(a), dtype=bool)
+        out = np.full(b[0].shape if b else a.shape, np.nan)
+        bad = []
+        for i in range(len(a)):
+            try:
+                out[i] = f(a[i], *(v[i] for v in b))
+            except np.linalg.LinAlgError:
+                bad.append(i)
+        return out, np.array(bad, dtype=int)
+
+
+_NO_ROWS = np.arange(0)
 
 
 def _ascent_steps(neg_h: np.ndarray, g: np.ndarray):
     """Solve (neg_h + lam*I) s = g for each row at the first lam in 0, c,
-    10c, 100c, ... (c = 1e-3 * max|diag(neg_h)|) at which Cholesky
-    succeeds.  Returns (s, lam, failed): failed indexes the rows at which
-    no damping does."""
+    10c, 100c, ... (c = 1e-3 * max(1, max|diag(neg_h)|)) at which the
+    damped matrix is positive definite.
+
+    One ``eigvalsh`` over the stack gives each row's lowest eigenvalue l,
+    and neg_h + lam*I counts as positive definite when l + lam > 0, so the
+    ladder is walked in arithmetic; the rows with a step then share one
+    solve, on neg_h + lam*I where lam > 0 and on neg_h itself where it is
+    0.  Returns (s, lam, failed): failed indexes the rows at which no
+    damping does, or whose damped matrix is exactly singular after all.
+    """
     r, k = g.shape
     lam = np.zeros(r)
-    pd = _positive_definite(neg_h)
-    if False not in pd.tolist():
-        return np.linalg.solve(neg_h, g[:, :, None])[:, :, 0], lam, np.arange(0)
-    s = np.empty((r, k))
-    todo = np.arange(r)
-    a = neg_h
+    low = np.linalg.eigvalsh(neg_h)[:, 0]
+    short = ~(low > 0.0)
+    if True not in short.tolist():
+        s, failed = _per_matrix(np.linalg.solve, neg_h, g[:, :, None])
+        return s[:, :, 0], lam, failed
     floor = 1e-3 * np.maximum(1.0, np.abs(np.diagonal(neg_h, axis1=1, axis2=2)).max(axis=1))
-    for attempt in range(_MAX_DAMPINGS):
-        if attempt:
-            lam[todo] = np.maximum(10.0 * lam[todo], floor[todo])
-            a = neg_h[todo] + lam[todo, None, None] * np.eye(k)
-            pd = _positive_definite(a)
-        if True in pd.tolist():
-            s[todo[pd]] = np.linalg.solve(a[pd], g[todo[pd], :, None])[:, :, 0]
-            todo = todo[~pd]
-            if not todo.size:
-                break
-    return s, lam, todo
+    for _ in range(1, _MAX_DAMPINGS):
+        lam[short] = np.maximum(10.0 * lam[short], floor[short])
+        short &= ~(low + lam > 0.0)
+        if True not in short.tolist():
+            break
+    a = neg_h.copy()
+    damped = lam > 0.0
+    a[damped] = neg_h[damped] + lam[damped, None, None] * np.eye(k)
+    go = np.flatnonzero(~short)
+    s = np.full((r, k), np.nan)
+    step, bad = _per_matrix(np.linalg.solve, a[go], g[go, :, None])
+    s[go] = step[:, :, 0]
+    short[go[bad]] = True
+    return s, lam, np.flatnonzero(short)
 
 
 # the chain rule into (mu, log sigma, log1p delta, xi): the Jacobian row is
@@ -278,16 +295,27 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
     return theta_out, ll_out, h_out, steps, evals, done
 
 
-def _result(theta_hat, ll_hat, h, start, converged, iterations, n_eval, stop) -> FitResult:
-    fim = None
-    std = None
-    if np.all(np.isfinite(h)):
-        fim = -h  # observed information; the kernel's Hessian is exactly symmetric
-        try:
-            np.linalg.cholesky(fim)  # positive definiteness gate
-            std = np.sqrt(np.diag(np.linalg.inv(fim)))
-        except np.linalg.LinAlgError:
-            std = None
+def _information(h: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """(fim, std_errors) of ``FitResult`` for each Hessian of a stack
+    (r, 4, 4): fim = -h where h is finite, and std_errors where fim is
+    positive definite as well, by the lowest-eigenvalue test of
+    ``_ascent_steps``; one eigvalsh and one inversion serve the stack."""
+    fim = -h  # observed information; the kernel's Hessian is exactly symmetric
+    finite = _finite_rows(h)
+    pd = np.zeros(len(h), dtype=bool)
+    if True in finite.tolist():
+        pd[finite] = np.linalg.eigvalsh(fim[finite])[:, 0] > 0.0
+    std = np.full((len(h), 4), np.nan)
+    if True in pd.tolist():
+        rows = np.flatnonzero(pd)
+        inv, bad = _per_matrix(np.linalg.inv, fim[rows])
+        std[rows] = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
+        pd[rows[bad]] = False
+    return [(f if ok else None, e if good else None) for f, e, ok, good in zip(fim, std, finite.tolist(), pd.tolist())]
+
+
+def _result(theta_hat, ll_hat, info, start, converged, iterations, n_eval, stop) -> FitResult:
+    fim, std = info
     return FitResult(
         theta_hat=theta_hat,
         neg2loglik=-2.0 * float(ll_hat),
@@ -349,7 +377,7 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
     theta, ll, h, steps, evals, done = _newton(x, z0, space)
     n_eval += int(evals[0])
     if done[0]:
-        return _result(space.params(theta[0]), ll[0], h[0], start, True, steps[0], n_eval, "newton")
+        return _result(space.params(theta[0]), ll[0], _information(h)[0], start, True, steps[0], n_eval, "newton")
 
     def objective(z_free: np.ndarray) -> float:
         nonlocal n_eval
@@ -363,7 +391,7 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
     theta_hat = space.params(theta[0]) if ok[0] and np.isfinite(res.fun) else start
     n_eval += 1
     ll_hat, _, h = kernel(theta_hat, x[0], 2)
-    return _result(theta_hat, ll_hat, h, start, res.converged, res.iterations, n_eval, res.stop)
+    return _result(theta_hat, ll_hat, _information(h[None])[0], start, res.converged, res.iterations, n_eval, res.stop)
 
 
 def fit_mle_rows(
@@ -402,12 +430,22 @@ def fit_mle_rows(
     if feasible:
         z0 = np.array([_to_internal(starts[r]) for r in feasible])[:, space.free]
         theta, ll, h, steps, evals, done = _newton(_subset(x, feasible), z0, space)
+        info = iter(_information(h[done]))
         for j, r in enumerate(feasible):
             if done[j]:
-                out[r] = _result(space.params(theta[j]), ll[j], h[j], starts[r], True, steps[j], 1 + evals[j], "newton")
+                out[r] = _result(space.params(theta[j]), ll[j], next(info), starts[r], True, steps[j], 1 + evals[j], "newton")
             else:
                 out[r] = fit_mle(x[r], starts[r], space.fixed)
     return out
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a 1-D array, from one partition and numpy's own mean
+    of the middle pair; ``np.median`` imports numpy.ma for its nan check."""
+    h = x.size // 2
+    mid = [h - 1, h] if x.size % 2 == 0 else [h]
+    part = np.partition(x, [*mid, -1])
+    return math.nan if math.isnan(part[-1]) else float(part[mid[0] : h + 1].mean())
 
 
 def default_start(x) -> BgevParams:
@@ -415,7 +453,7 @@ def default_start(x) -> BgevParams:
     location matched to the sample median, unit transform scale, delta 0.
     The shape is shrunk toward zero until the whole sample is feasible."""
     x = np.asarray(x, dtype=float)
-    med = float(np.median(x))
+    med = _median(x.ravel())
     centered = x - np.mean(x)
     s = float(np.std(x))
     skew = float(np.mean(centered**3) / s**3) if s > 0 else 0.0

@@ -175,6 +175,30 @@ def _fill_empty_fields(body: str, delimiter: str) -> str:
     return filled[1:-1]
 
 
+# whole fields that R and spreadsheets write for a missing value; the row
+# parser skips them as non-numbers
+_MISSING_MARKERS = ("NA", "#N/A")
+
+
+def _fill_missing_markers(body: str, delimiter: str) -> str:
+    """``body`` with "nan" in every field that is one of
+    ``_MISSING_MARKERS``.  Each holds an "N", which ``str.find`` finds
+    fast, so a file with few of them is not copied field by field."""
+    edges = ("", delimiter, "\n")
+    out, pos = [], 0
+    i = body.find("N")
+    while i >= 0:
+        for tok in _MISSING_MARKERS:
+            start = i - tok.index("N")
+            end = start + len(tok)
+            if start >= pos and body.startswith(tok, start) and body[start - 1 : start] in edges and body[end : end + 1] in edges:
+                out += [body[pos:start], "nan"]
+                pos = end
+                break
+        i = body.find("N", i + 1)
+    return "".join(out) + body[pos:] if out else body
+
+
 def ingest(
     path,
     value_column: int | str | None = None,
@@ -194,13 +218,14 @@ def ingest(
     A file that cannot be read or parsed raises InputDataError.
 
     The body below the header is read column-wise by one ``np.loadtxt``
-    call, with each empty field read as nan; under "skip" a blank or
-    non-finite value is skipped there as the row parser would skip it.  A
-    file that call cannot read goes to the row parser, which gives the same
-    result and alone names the ``file:line`` of a bad value.  Those are
-    files with a quote, a NUL or a line longer than the csv field limit
-    anywhere, a short or whitespace-only line, a non-numeric value or time
-    field, or a blank timestamp in a row whose value is kept, and under
+    call, with each empty, ``NA`` or ``#N/A`` field read as nan; under
+    "skip" such a value or a non-finite one is skipped there as the row
+    parser would skip it.  A file that call cannot read goes to the row
+    parser, which gives the same result and alone names the ``file:line``
+    of a bad value.  Those are files with a quote, a NUL or a line longer
+    than the csv field limit anywhere, a short or whitespace-only line,
+    another non-numeric value or time field, or a missing timestamp in a
+    row whose value is kept, and under
     "fail" files with a missing value.  Files with non-numeric (say ISO
     8601) timestamps are therefore read at the row parser's speed.
     """
@@ -226,6 +251,8 @@ def _ingest_columns(path, text: str, delimiter: str, value_column, time_column, 
     if body.count("\n") == len(body):  # blank lines only
         return None
     names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
+    if "N" in body:
+        body = _fill_missing_markers(body, delimiter)
     if _has_empty_field(body, delimiter):
         body = _fill_empty_fields(body, delimiter)
     try:
@@ -467,8 +494,26 @@ def fit_and_compare(b: BlockMaxima, bgev_start: BgevParams | None = None) -> Com
 _GRID_POINTS = 512  # density.csv grid size
 
 
+def _quartiles(x: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(x, [25, 75])`` of a 1-D array (linear method), from
+    one partition and numpy's own interpolation; ``np.percentile`` imports
+    numpy.ma."""
+    n = x.size
+    at = [(n - 1) * 0.25, (n - 1) * 0.75]
+    lo = [math.floor(v) for v in at]
+    hi = [min(i + 1, n - 1) for i in lo]
+    part = np.partition(x, [*lo, *hi, -1])
+    if math.isnan(part[-1]):
+        return math.nan, math.nan
+    q = []
+    for v, i, j in zip(at, lo, hi):
+        a, b, t = float(part[i]), float(part[j]), v - i
+        q.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return q[0], q[1]
+
+
 def _fd_bin_count(x: np.ndarray) -> int:
-    q75, q25 = np.percentile(x, [75, 25])
+    q25, q75 = _quartiles(x)
     iqr = q75 - q25
     if iqr <= 0:
         return 16

@@ -75,10 +75,11 @@ def outcome(parse):
 
 
 # Python-only float spellings (underscores, unicode digits), spaces that
-# float() and str.strip() take (no-break, separators), quotes and NUL
+# float() and str.strip() take (no-break, separators), quotes, NUL and the
+# missing-value markers the fast path reads as nan
 odd_tokens = st.sampled_from(
     ["", " ", " 1", "2 ", "\xa03", "1_000", "\u0663", '"4"', "'5'", "nan", "-inf", "1e400", "x", "0x1", "1.", ".5",
-     "+1", "-0", "1e-400", "5\x1c", "6\u2028", "\x00", "1,5", "1\t5"]
+     "+1", "-0", "1e-400", "5\x1c", "6\u2028", "\x00", "1,5", "1\t5", "NA", "#N/A", " NA", "NaN", "N"]
 )
 number_tokens = st.one_of(
     st.integers(-(10**6), 10**6).map(str),

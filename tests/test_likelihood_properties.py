@@ -276,3 +276,42 @@ def test_batched_rows_split_into_chunks(order):
             assert same(batched[i], one)
         else:
             assert all(same(b[i], o) for b, o in zip(batched, one))
+
+
+# admissible but extreme rows, at which a float power or division of the
+# per-row assembly overflows or divides by an underflowed square, and what
+# the entries fed by it read: -n/sigma**2 overflows to -inf; |x|**1e160
+# leaves the float range, so the row is infeasible; at xi = 1e80 the
+# overflowing xi**3 and xi**4 only divide terms that vanish, and every entry
+# is finite as its true value is; xi = -1e80 puts the data outside the support
+EXTREME_ROWS = [
+    pytest.param(BgevParams(xi=0.5, mu=0.0, sigma=1e-170, delta=0.0), "sigma_sigma_inf", id="sigma-squared-underflows"),
+    pytest.param(BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=1e160), "sentinels", id="delta-squared-overflows"),
+    pytest.param(BgevParams(xi=1e80, mu=0.0, sigma=1.0, delta=0.0), "finite", id="xi-cubed-overflows"),
+    pytest.param(BgevParams(xi=-1e80, mu=0.0, sigma=1.0, delta=0.0), "sentinels", id="negative-xi-cubed-overflows"),
+]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("p, expect", EXTREME_ROWS)
+def test_extreme_rows_give_values_not_exceptions(p, expect, order):
+    x = np.linspace(0.5, 3.0, 20)
+    normal = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = kernel(p, x, order)
+        ref = kernel(normal, x, order)
+        batched = kernel(np.array([as_row(normal), as_row(p), as_row(normal)]), np.tile(x, (3, 1)), order)
+    for i, one in enumerate([ref, alone, ref]):
+        assert all(same(b[i], o) for b, o in zip(batched, one))
+    ll, g, h = (*alone, None)[:3]
+    if expect == "sentinels":
+        assert ll == -np.inf and np.all(np.isnan(g)) and (h is None or np.all(np.isnan(h)))
+        return
+    assert math.isfinite(ll) and np.all(np.isfinite(g))
+    if h is not None:
+        finite = np.isfinite(h)
+        if expect == "sigma_sigma_inf":
+            assert h[1, 1] == -np.inf
+            finite[1, 1] = True
+        assert finite.all()

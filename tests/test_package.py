@@ -16,3 +16,14 @@ def test_import_loads_no_process_pool():
     code = "import bgev, sys; print('concurrent.futures.process' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_fit_loads_no_masked_arrays(tmp_path):
+    # np.median and np.percentile import numpy.ma, 11-14 ms of a cold start
+    code = (
+        "import sys; from bgev.cli import main; "
+        f"rc = main(['fit', '--input', 'bundled:bimodal', '--out-dir', {str(tmp_path)!r}]); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+    assert res.stdout.split()[-2:] == ["0", "False"]

@@ -178,6 +178,10 @@ def test_ingest_reads_plain_files_column_wise(tmp_path, monkeypatch):
         pytest.param("t,x,v\n1,,1\n2,,2\n", None, id="blank-unused-column"),
         pytest.param("t,a,v,b\n1,,,1\n2,2,2,2\n", "v", id="run-of-empty-fields"),
         pytest.param("t,v\n1,1\n,nan\n3,3\n", None, id="only-empty-field-first-on-its-line"),
+        pytest.param("t,v\n1,1\n2,NA\n3,3\n", None, id="NA-value"),
+        pytest.param("NA,#N/A\n1,NA\n#N/A,#N/A\n3,#N/A\n4,4\n", None, id="NA-and-#N/A-fields"),
+        pytest.param("v\nNA\nNA\n1\nNA\n#N/A\nNAN\n", None, id="single-column-markers"),
+        pytest.param("t\tv\n1\tNA\n2\t2\n3\t#N/A\n", None, id="tab-markers"),
     ],
 )
 def test_ingest_skips_missing_values_column_wise(tmp_path, monkeypatch, body, value_column):
@@ -195,7 +199,8 @@ def test_ingest_skips_missing_values_column_wise(tmp_path, monkeypatch, body, va
         pytest.param('t,v\n1,"2"\n2,3\n', "skip", id="quoted-value"),
         pytest.param('t,note,v\n1,"x,2\n3,y",4\n', "skip", id="quoted-note-spanning-lines"),  # one row for csv
         pytest.param("t,v\n2024-01-01T00,1\n2024-01-01T01,2\n", "skip", id="iso-timestamps"),
-        pytest.param("t,v\n1,1\n2,NA\n3,3\n", "skip", id="non-numeric-value"),
+        pytest.param("t,v\n1,1\n2,NAN?\n3,3\n", "skip", id="non-numeric-value"),
+        pytest.param("t,v\n1,1\n2,NA\n3,3\n", "fail", id="NA-value-under-fail"),
         pytest.param("t,v\n1,1\n,2\n3,3\n", "skip", id="blank-time-of-a-kept-value"),  # no order check
         pytest.param("t,v\n1,1\n2,\n3,3\n", "fail", id="blank-value-under-fail"),
         pytest.param("t,v\n1,1\n2,nan\n3,3\n", "fail", id="non-finite-value-under-fail"),

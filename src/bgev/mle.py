@@ -159,10 +159,11 @@ def _ascent_steps(neg_h: np.ndarray, g: np.ndarray):
     r, k = g.shape
     lam = np.zeros(r)
     low = np.linalg.eigvalsh(neg_h)[:, 0]
-    short = ~(low > 0.0)
-    if True not in short.tolist():
+    pd = low > 0.0
+    if False not in pd.tolist():
         s, failed = _per_matrix(np.linalg.solve, neg_h, g[:, :, None])
         return s[:, :, 0], lam, failed
+    short = ~pd
     floor = 1e-3 * np.maximum(1.0, np.abs(np.diagonal(neg_h, axis1=1, axis2=2)).max(axis=1))
     for _ in range(1, _MAX_DAMPINGS):
         lam[short] = np.maximum(10.0 * lam[short], floor[short])
@@ -301,17 +302,19 @@ def _information(h: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray | No
     positive definite as well, by the lowest-eigenvalue test of
     ``_ascent_steps``; one eigvalsh and one inversion serve the stack."""
     fim = -h  # observed information; the kernel's Hessian is exactly symmetric
-    finite = _finite_rows(h)
-    pd = np.zeros(len(h), dtype=bool)
-    if True in finite.tolist():
-        pd[finite] = np.linalg.eigvalsh(fim[finite])[:, 0] > 0.0
-    std = np.full((len(h), 4), np.nan)
-    if True in pd.tolist():
-        rows = np.flatnonzero(pd)
-        inv, bad = _per_matrix(np.linalg.inv, fim[rows])
-        std[rows] = np.sqrt(np.diagonal(inv, axis1=1, axis2=2))
-        pd[rows[bad]] = False
-    return [(f if ok else None, e if good else None) for f, e, ok, good in zip(fim, std, finite.tolist(), pd.tolist())]
+    finite = _finite_rows(h).tolist()
+    rows = [i for i, ok in enumerate(finite) if ok]
+    if rows:
+        low = np.linalg.eigvalsh(_subset(fim, rows))[:, 0].tolist()
+        rows = [i for i, v in zip(rows, low) if v > 0.0]
+    std = [None] * len(h)
+    if rows:
+        inv, bad = _per_matrix(np.linalg.inv, _subset(fim, rows))
+        for i, e in zip(rows, np.sqrt(np.diagonal(inv, axis1=1, axis2=2))):
+            std[i] = e
+        for j in bad.tolist():  # exactly singular after all
+            std[rows[j]] = None
+    return [(f if ok else None, e) for f, e, ok in zip(fim, std, finite)]
 
 
 def _result(theta_hat, ll_hat, info, start, converged, iterations, n_eval, stop) -> FitResult:

@@ -191,7 +191,9 @@ def _fill_missing_markers(body: str, delimiter: str) -> str:
         for tok in _MISSING_MARKERS:
             start = i - tok.index("N")
             end = start + len(tok)
-            if start >= pos and body.startswith(tok, start) and body[start - 1 : start] in edges and body[end : end + 1] in edges:
+            if start < pos or not body.startswith(tok, start):
+                continue
+            if body[start - 1 : start] in edges and body[end : end + 1] in edges:  # a whole field
                 out += [body[pos:start], "nan"]
                 pos = end
                 break
@@ -251,8 +253,7 @@ def _ingest_columns(path, text: str, delimiter: str, value_column, time_column, 
     if body.count("\n") == len(body):  # blank lines only
         return None
     names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
-    if "N" in body:
-        body = _fill_missing_markers(body, delimiter)
+    body = _fill_missing_markers(body, delimiter)
     if _has_empty_field(body, delimiter):
         body = _fill_empty_fields(body, delimiter)
     try:

@@ -366,8 +366,8 @@ def symmetric_stack(rng, r: int, k: int, kind: str) -> np.ndarray:
     sign = {"definite": 1.0, "negative": -1.0}.get(kind, rng.choice([-1.0, 1.0], (r, k)))
     w = sign * mag
     if kind == "near_singular":
-        w[:, 0] = w[:, 1:].__abs__().max(axis=1) * rng.choice([-1.0, 1.0], r) * 10.0 ** rng.uniform(-9.0, -6.0, r)
         w[:, 1:] = np.abs(w[:, 1:])
+        w[:, 0] = w[:, 1:].max(axis=1) * rng.choice([-1.0, 1.0], r) * 10.0 ** rng.uniform(-9.0, -6.0, r)
     q = np.linalg.qr(rng.normal(size=(r, k, k)))[0]
     a = q @ (w[:, :, None] * q.transpose(0, 2, 1))
     lower = np.tril(a)
@@ -405,7 +405,8 @@ def test_ascent_steps_fail_where_no_damping_suffices():
     # max|diag| = 1 puts the last rung at 1e15, short of the eigenvalue -1e16
     neg_h = np.array([[[1.0, 1e16], [1e16, 1.0]], [[2.0, 0.5], [0.5, 1.0]], [[-1.0, 0.0], [0.0, 3.0]]])
     s, lam, failed = assert_same_damping(neg_h, np.ones((3, 2)))
-    assert failed.tolist() == [0] and lam[0] == 1e-3 * 10.0**18 and lam[2] > 0.0 == lam[1]
+    assert failed.tolist() == [0] and lam[0] == 1e-3 * 10.0**18
+    assert lam[1] == 0.0 and lam[2] > 0.0
 
 
 def test_ascent_steps_fail_on_exactly_singular_matrix():
@@ -424,7 +425,7 @@ def test_ascent_steps_fail_on_exactly_singular_matrix():
     assert std1.tobytes() == np.sqrt(np.diag(np.linalg.inv(fim[1]))).tobytes()
 
 
-def test_ascent_steps_match_cholesky_ladder_on_a_cell():
+def test_ascent_steps_match_cholesky_ladder_on_a_cell(monkeypatch):
     # the Newton systems of one mc_study cell, which damps about a third of them
     stacks = []
     real = mle._ascent_steps
@@ -435,14 +436,13 @@ def test_ascent_steps_match_cholesky_ladder_on_a_cell():
 
     truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
     reps = [study_replicate(truth, 50, seed=1000, r=r) for r in range(20)]
-    mle._ascent_steps = spy
-    try:
-        mle.fit_mle_rows(np.array([x for x, _ in reps]), [s for _, s in reps], SIGMA_FIXED)
-    finally:
-        mle._ascent_steps = real
-    assert sum(int((mle._ascent_steps(*st_)[1] > 0).sum()) for st_ in stacks) > 20
+    monkeypatch.setattr(mle, "_ascent_steps", spy)
+    mle.fit_mle_rows(np.array([x for x, _ in reps]), [s for _, s in reps], SIGMA_FIXED)
+    monkeypatch.undo()
+    damped = 0
     for neg_h, g in stacks:
-        assert_same_damping(neg_h, g)
+        damped += int((assert_same_damping(neg_h, g)[1] > 0.0).sum())
+    assert damped > 20
 
 
 def test_median_and_quartiles_equal_numpy():

@@ -9,6 +9,7 @@ pipeline with a command-line front end.
 from .distribution import (
     cdf,
     critical_points,
+    logpdf,
     moment,
     pdf,
     quantile,
@@ -17,7 +18,7 @@ from .distribution import (
     support,
     tail_index,
 )
-from .gev import gev_cdf, gev_logpdf, gev_mode, gev_pdf, gev_quantile
+from .gev import gev_cdf, gev_mode, gev_pdf, gev_quantile
 from .gof import (
     GofReport,
     LjungBoxReport,
@@ -58,7 +59,7 @@ from .pipeline import (
     standardize,
 )
 from .sim import SimConfig, SimReport, load_suite_config, run_cell, run_suite
-from .transform import transform_d1, transform_d2, transform_forward, transform_inverse
+from .transform import transform_forward, transform_inverse
 
 __version__ = "0.1.0"
 
@@ -71,16 +72,14 @@ __all__ = [
     "ParameterError",
     "transform_forward",
     "transform_inverse",
-    "transform_d1",
-    "transform_d2",
     "gev_pdf",
     "gev_cdf",
     "gev_quantile",
-    "gev_logpdf",
     "gev_mode",
     "incomplete_gamma_lower",
     "incomplete_gamma_upper",
     "support",
+    "logpdf",
     "pdf",
     "cdf",
     "sf",

@@ -3,7 +3,10 @@
 The distribution is the pushforward of a unit-scale GEV(xi, mu) through the
 inverse of the signed power map sigma*x*|x|**delta: the CDF is the GEV CDF
 composed with the forward map, and the density picks up the map's derivative
-as a Jacobian factor.  Everything here is a pure function of its arguments.
+as a Jacobian factor.  The log density is computed from the likelihood
+kernel's per-observation terms, so ``logpdf`` summed over a sample is the
+log-likelihood, and ``pdf`` is its exponential.  Everything here is a pure
+function of its arguments.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ from math import comb
 
 import numpy as np
 
-from .gev import gev_cdf, gev_mode, gev_pdf, gev_quantile
+from .gev import gev_cdf, gev_mode, gev_quantile
 from .incgamma import incomplete_gamma_lower, incomplete_gamma_upper
+from .likelihood import log_density_terms
 from .params import BgevParams, CriticalPoints, Modality, Support, SupportKind
 from .transform import transform_forward, transform_inverse
 
 __all__ = [
     "support",
+    "logpdf",
     "pdf",
     "cdf",
     "sf",
@@ -45,34 +50,34 @@ def support(p: BgevParams) -> Support:
     return Support(lower=-math.inf, upper=edge, kind=SupportKind.RIGHT_BOUNDED)
 
 
-def pdf(x, p: BgevParams):
-    """Density at x; zero outside the support.
+def logpdf(x, p: BgevParams):
+    """Log density at x: the per-observation summand of the log-likelihood,
+    log sigma + log1p(delta) + delta*log|x| - (1 + 1/xi)*log(psi) - psi**(-1/xi)
+    with psi = 1 + xi*(sigma*x*|x|**delta - mu), from the likelihood
+    kernel's own terms.
 
-    For -1 < delta < 0 the Jacobian factor is singular at the origin, so the
-    density is unbounded there: pdf(0) returns +inf whenever 0 lies inside
-    the support.  The spike is integrable and the normalization checks pass.
+    -inf outside the support and where the GEV factor underflows.  At the
+    origin the Jacobian factor is 0 for delta > 0 (-inf) and singular for
+    -1 < delta < 0, where the density is unbounded: +inf whenever 0 lies
+    inside the support.  The spike is integrable.
     """
     x = np.asarray(x, dtype=float)
-    t = transform_forward(x, p.sigma, p.delta)
-    fg = gev_pdf(t, p.xi, p.mu)
-    fg = np.asarray(fg, dtype=float)
+    flat = x.reshape(1, -1)
+    theta = np.array([[p.mu, p.sigma, p.delta, p.xi]])
+    with np.errstate(all="ignore"):
+        L, _, _, _, psi, u, a = log_density_terms(theta, flat, np.empty((1, 3, flat.size)))
+        out = math.log(p.sigma) + math.log1p(p.delta) + p.delta * L - (1.0 + 1.0 / p.xi) * u - a
+    out[~(psi > 0.0) | np.isnan(out)] = -np.inf
+    if p.delta != 0.0:
+        out[flat == 0.0] = np.inf if p.delta < 0.0 and 1.0 - p.xi * p.mu > 0.0 else -np.inf
+    out = out.reshape(x.shape)
+    return out if out.ndim else float(out)
 
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        jac = np.where(x == 0.0, 1.0, np.abs(x) ** p.delta) * (p.sigma * (p.delta + 1.0))
-        # where the GEV density is 0 so is this one, also where the
-        # Jacobian factor overflows far outside a bounded support
-        out = np.where(fg == 0.0, 0.0, fg * jac)
 
-    at_zero = x == 0.0
-    if np.any(at_zero):
-        fg0 = float(gev_pdf(0.0, p.xi, p.mu))
-        if p.delta > 0.0:
-            v0 = 0.0
-        elif p.delta == 0.0:
-            v0 = p.sigma * fg0
-        else:
-            v0 = math.inf if fg0 > 0.0 else 0.0
-        out = np.where(at_zero, v0, out)
+def pdf(x, p: BgevParams):
+    """Density at x, exp(logpdf(x, p)); zero outside the support."""
+    with np.errstate(over="ignore"):
+        out = np.exp(logpdf(x, p))
     return out if out.ndim else float(out)
 
 

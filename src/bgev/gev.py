@@ -3,13 +3,15 @@
 All functions here take the shape xi != 0 explicitly.  ``gev_pdf``/``gev_cdf``/
 ``gev_quantile`` accept a general scale; the unit-scale variants used as the
 building block of the BGEV composition are the defaults (sigma = 1).
+``gev_pdf`` is written apart from the likelihood kernel's terms, which
+``distribution.logpdf`` shares, and so serves as their reference in tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gev_pdf", "gev_cdf", "gev_quantile", "gev_logpdf", "gev_mode"]
+__all__ = ["gev_pdf", "gev_cdf", "gev_quantile", "gev_mode"]
 
 
 def _kernel(x, xi: float, mu: float, sigma: float):
@@ -31,19 +33,6 @@ def gev_pdf(x, xi: float, mu: float, sigma: float = 1.0):
         e = np.exp(-(ui ** (-1.0 / xi)))
         # e = 0 far in the tail, where the power factor may overflow
         out[inside] = np.where(e == 0.0, 0.0, ui ** (-1.0 / xi - 1.0) * e) / sigma
-    return out if out.ndim else float(out)
-
-
-def gev_logpdf(x, xi: float, mu: float, sigma: float = 1.0):
-    """Log density; -inf outside the support."""
-    if xi == 0.0:
-        raise ValueError("xi must be nonzero")
-    u = _kernel(x, xi, mu, sigma)
-    out = np.full_like(u, -np.inf)
-    inside = u > 0.0
-    with np.errstate(over="ignore"):
-        ui = u[inside]
-        out[inside] = (-1.0 / xi - 1.0) * np.log(ui) - ui ** (-1.0 / xi) - np.log(sigma)
     return out if out.ndim else float(out)
 
 

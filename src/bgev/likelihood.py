@@ -44,6 +44,48 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
+def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray):
+    """Per-observation terms (L, w, t, d, psi, u, a) of the log density of
+    each row of x (m, n) at its parameter row of theta (m, 4):
+
+        log f(x) = log sigma + log1p(delta) + delta*L - (1 + 1/xi)*u - a
+
+    with L = log|x| (0 at the origin), w = x*|x|**delta, t = sigma*w,
+    d = t - mu, psi = 1 + xi*d, u = log(psi) and a = exp(-u/xi), the GEV
+    factor's power psi**(-1/xi).  L, u and a are written to q[:, 0],
+    q[:, 1] and q[:, 2] of a buffer q (m, >= 3, n).  Outside the support
+    psi <= 0 and the formula is -inf or nan.  At the origin with
+    delta != 0, where the likelihood counts an observation as infeasible,
+    psi and the terms after it are nan.  Call under
+    ``np.errstate(all="ignore")``.
+    """
+    absx = np.abs(x)
+    L = np.log(absx, out=q[:, 0])
+    zero = None
+    if not absx.all():  # an observation at the origin
+        zero = absx == 0.0
+        L[zero] = 0.0
+    # one power for all rows, its exponent materialised to the data's
+    # shape: numpy's power squares or takes the square root for an
+    # exponent of 2 or 0.5 that is broadcast along a row of one call,
+    # so a scalar or (m, 1) exponent would part a row from itself alone
+    w = x
+    if any(theta[:, 2].tolist()):
+        w = np.empty_like(x)
+        w[:] = theta[:, 2:3]
+        np.power(absx, w, out=w)
+        w *= x
+    mu, sg, _, xi = theta.T[:, :, None]  # (m, 1): broadcast along the rows of x
+    t = sg * w
+    d = t - mu
+    psi = 1.0 + xi * d
+    if zero is not None:
+        psi[zero & (theta[:, 2:3] != 0.0)] = np.nan
+    u = np.log(psi, out=q[:, 1])
+    a = np.exp(-u / xi, out=q[:, 2])
+    return L, w, t, d, psi, u, a
+
+
 def _rows(theta: np.ndarray, x: np.ndarray, order: int):
     """The batched kernel on one chunk: theta (m, 4), x (m, n).
 
@@ -55,36 +97,15 @@ def _rows(theta: np.ndarray, x: np.ndarray, order: int):
     can differ from numpy's in the last bit.
     """
     m, n = x.shape
-    mu, sg, _, xi = theta.T[:, :, None]  # (m, 1): broadcast along the rows of x
     params = [row[1:] for row in theta.tolist()]  # (sigma, delta, xi) per row
     # terms whose row sums are needed share one buffer, so that one
     # reduction gives them all: L, u, a, then f_xi, f_psi, f_xixi
     q = np.empty((m, 6 if order else 3, n))
     with np.errstate(all="ignore"):
-        absx = np.abs(x)
-        L = np.log(absx, out=q[:, 0])
-        origin = None
-        if not absx.all():  # an observation at the origin
-            zero = absx == 0.0
-            origin = zero.any(axis=1) & (theta[:, 2] != 0.0)
-            L[zero] = 0.0
-        # one power for all rows, its exponent materialised to the data's
-        # shape: numpy's power squares or takes the square root for an
-        # exponent of 2 or 0.5 that is broadcast along a row of one call,
-        # so a scalar or (m, 1) exponent would part a row from itself alone
-        w = x
-        if any(e for _, e, _ in params):
-            w = np.empty_like(x)
-            w[:] = theta[:, 2:3]
-            np.power(absx, w, out=w)
-            w *= x
-        t = sg * w
-        d = t - mu
-        psi = 1.0 + xi * d
-        u = np.log(psi, out=q[:, 1])
-        a = np.exp(-u / xi, out=q[:, 2])
+        L, w, t, d, psi, u, a = log_density_terms(theta, x, q)
         sums = q[:, :3].sum(axis=2).tolist()
         if order:
+            xi = theta[:, 3:]
             tl = t * L
             p = np.empty((m, 4, n))
             p[:, 0] = -xi
@@ -123,12 +144,11 @@ def _rows(theta: np.ndarray, x: np.ndarray, order: int):
             _, s_fpsi, s_fxixi = sums_f[r]
             hessians.append(_hessian_row(n, s, e, v, h_psi[r], cross[r], s_fpsi, s_fxixi, *dots[r]))
     ll = np.array(ll)
-    # psi <= 0 or NaN anywhere, and psi = inf, leave ll non-finite
+    # psi <= 0 or NaN anywhere (an observation at the origin with delta != 0
+    # included), and psi = inf, leave ll non-finite
     bad = None
-    if not all_finite or origin is not None:
+    if not all_finite:
         bad = ~np.isfinite(ll)
-        if origin is not None:
-            bad |= origin
         ll[bad] = -np.inf
     if order == 0:
         return ll

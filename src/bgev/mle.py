@@ -10,10 +10,11 @@ how the scale is held at its true value in simulation studies and how the
 plain GEV arises as the delta = 0 submodel.  The stopping tolerances and the
 fallback's iteration cap are module constants.
 
-There is one Newton, and it runs many samples of one size in lockstep:
-``fit_mle`` runs it on one sample, ``fit_mle_rows`` on all the replicates
-of a Monte Carlo cell at once.  Every damping, line-search and stop decision
-is made per row, so each row takes exactly the path it takes alone.
+There is one fit path, and its Newton runs many samples of one size in
+lockstep: ``fit_mle_rows`` fits all the replicates of a Monte Carlo cell at
+once, and ``fit_mle`` is its one-sample case.  Every damping, line-search
+and stop decision is made per row, so each row takes exactly the path it
+takes alone; a row Newton cannot finish goes on to Nelder-Mead alone.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ class InfeasibleStartError(ValueError):
 class FitResult:
     """Outcome of one likelihood maximization.
 
-    fim is the observed information matrix -hessian(theta_hat) in natural
-    coordinates, ordered (mu, sigma, delta, xi); std_errors are the square
-    roots of the diagonal of its inverse and are present only when the
-    matrix is positive definite: its lowest eigenvalue (``eigvalsh``) is
-    above 0, the test the Newton damping uses.  stop says how the search
+    fim is the full observed information matrix -hessian(theta_hat) in
+    natural coordinates, ordered (mu, sigma, delta, xi).  std_errors, in the
+    same order, are 0 for a parameter pinned by ``fixed`` and otherwise the
+    square roots of the diagonal of the inverse of fim's block on the free
+    parameters.  They are present only when that block is positive
+    definite: its lowest eigenvalue (``eigvalsh``) is above 0, the test the
+    Newton damping uses.  stop says how the search
     ended: "newton" for a Newton finish, otherwise the Nelder-Mead
     fallback's "ftol", "xtol" or "max_iter"; iterations counts the steps of
     that method and n_eval every likelihood evaluation the fit made.
@@ -190,7 +193,7 @@ _DIAG_SG_DL = np.diag([0.0, 1.0, 1.0, 0.0])
 
 
 def _finite_rows(a: np.ndarray) -> np.ndarray:
-    return np.logical_and.reduce(np.isfinite(a.reshape(len(a), -1)), axis=1)
+    return np.logical_and.reduce(np.isfinite(a.reshape(len(a), math.prod(a.shape[1:]))), axis=1)
 
 
 def _probe(space: _Space, z: np.ndarray, x: np.ndarray):
@@ -296,40 +299,29 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
     return theta_out, ll_out, h_out, steps, evals, done
 
 
-def _information(h: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+def _information(h: np.ndarray, space: _Space) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
     """(fim, std_errors) of ``FitResult`` for each Hessian of a stack
-    (r, 4, 4): fim = -h where h is finite, and std_errors where fim is
-    positive definite as well, by the lowest-eigenvalue test of
-    ``_ascent_steps``; one eigvalsh and one inversion serve the stack."""
+    (r, 4, 4): fim = -h where h is finite, and std_errors where fim's block
+    on the free parameters of ``space`` is positive definite as well, by
+    the lowest-eigenvalue test of ``_ascent_steps``.  They are the square
+    roots of the diagonal of that block's inverse, 0 for a pinned
+    parameter.  One eigvalsh and one inversion serve the stack."""
     fim = -h  # observed information; the kernel's Hessian is exactly symmetric
+    free = fim[:, space.free_block[0], space.free_block[1]]
     finite = _finite_rows(h).tolist()
     rows = [i for i, ok in enumerate(finite) if ok]
     if rows:
-        low = np.linalg.eigvalsh(_subset(fim, rows))[:, 0].tolist()
+        low = np.linalg.eigvalsh(_subset(free, rows))[:, 0].tolist()
         rows = [i for i, v in zip(rows, low) if v > 0.0]
     std = [None] * len(h)
     if rows:
-        inv, bad = _per_matrix(np.linalg.inv, _subset(fim, rows))
+        inv, bad = _per_matrix(np.linalg.inv, _subset(free, rows))
         for i, e in zip(rows, np.sqrt(np.diagonal(inv, axis1=1, axis2=2))):
-            std[i] = e
+            std[i] = np.zeros(4)
+            std[i][space.free] = e
         for j in bad.tolist():  # exactly singular after all
             std[rows[j]] = None
     return [(f if ok else None, e) for f, e, ok in zip(fim, std, finite)]
-
-
-def _result(theta_hat, ll_hat, info, start, converged, iterations, n_eval, stop) -> FitResult:
-    fim, std = info
-    return FitResult(
-        theta_hat=theta_hat,
-        neg2loglik=-2.0 * float(ll_hat),
-        converged=converged,
-        iterations=int(iterations),
-        fim=fim,
-        std_errors=std,
-        start=start,
-        n_eval=int(n_eval),
-        stop=stop,
-    )
 
 
 def _checked_space(x: np.ndarray, fixed: dict[str, float] | None) -> _Space:
@@ -366,21 +358,19 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
     feasible (finite log-likelihood) and the sample must hold at least 8
     observations.  Non-convergence within the iteration cap is reported
     through the converged flag, never raised; the best point seen is still
-    returned and its -2 log-likelihood never exceeds the start's.
+    returned and its -2 log-likelihood never exceeds the start's.  This is
+    the one-sample case of ``fit_mle_rows``.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    space = _checked_space(x, fixed)
-    start = replace(start, **space.fixed)  # validates the pinned values
+    res = fit_mle_rows(np.asarray(x, dtype=float).ravel()[None], [start], fixed)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
-    n_eval = 1
-    if not np.isfinite(kernel(start, x, 0)):
-        raise InfeasibleStartError(_INFEASIBLE)
-    x = x[None]
-    z0 = np.array([_to_internal(start)])[:, space.free]
-    theta, ll, h, steps, evals, done = _newton(x, z0, space)
-    n_eval += int(evals[0])
-    if done[0]:
-        return _result(space.params(theta[0]), ll[0], _information(h)[0], start, True, steps[0], n_eval, "newton")
+
+def _nelder_mead(x: np.ndarray, z0: np.ndarray, space: _Space, start: BgevParams, n_eval: int):
+    """The fallback fit of one sample x (1, n) from its free internal start
+    z0 (k,): (theta_hat, ll, h, converged, iterations, n_eval, stop), with
+    n_eval counting on from the evaluations already made."""
 
     def objective(z_free: np.ndarray) -> float:
         nonlocal n_eval
@@ -388,13 +378,12 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
         n_eval += int(evaluated[0])
         return -ll[0]
 
-    res = nelder_mead(objective, z0[0], ftol=_FTOL, xtol=_XTOL, max_iter=_MAX_ITER)
+    res = nelder_mead(objective, z0, ftol=_FTOL, xtol=_XTOL, max_iter=_MAX_ITER)
     theta, ok = space.natural(res.x[None])
     # an optimizer that never left the infeasible region reports the start itself
     theta_hat = space.params(theta[0]) if ok[0] and np.isfinite(res.fun) else start
-    n_eval += 1
-    ll_hat, _, h = kernel(theta_hat, x[0], 2)
-    return _result(theta_hat, ll_hat, _information(h[None])[0], start, res.converged, res.iterations, n_eval, res.stop)
+    ll, _, h = kernel(theta_hat, x[0], 2)
+    return theta_hat, ll, h, res.converged, res.iterations, n_eval + 1, res.stop
 
 
 def fit_mle_rows(
@@ -403,11 +392,11 @@ def fit_mle_rows(
     """``fit_mle`` on every row of x (m, n), each from its own start, with
     one Newton run for all rows in lockstep.
 
-    Entry r is exactly ``fit_mle(x[r], starts[r], fixed)``, or the
-    InfeasibleStartError or ParameterError that call raises.  A row the
-    lockstep Newton cannot finish is refitted by ``fit_mle`` alone, whose
-    Newton fails the same way before Nelder-Mead takes over.  Errors shared
-    by all rows (too few observations, non-finite data, bad fixed names)
+    Entry r is the fit of row r from starts[r], or the InfeasibleStartError
+    or ParameterError its start raises; it is bitwise the fit of row r
+    alone.  A row the lockstep Newton cannot finish goes on to Nelder-Mead
+    from its start, its evaluation count carried over.  Errors shared by
+    all rows (too few observations, non-finite data, bad fixed names)
     raise.
     """
     x = np.asarray(x, dtype=float)
@@ -433,12 +422,25 @@ def fit_mle_rows(
     if feasible:
         z0 = np.array([_to_internal(starts[r]) for r in feasible])[:, space.free]
         theta, ll, h, steps, evals, done = _newton(_subset(x, feasible), z0, space)
-        info = iter(_information(h[done]))
+        fits = []  # (theta_hat, ll, h, converged, iterations, n_eval, stop) per feasible row
         for j, r in enumerate(feasible):
             if done[j]:
-                out[r] = _result(space.params(theta[j]), ll[j], next(info), starts[r], True, steps[j], 1 + evals[j], "newton")
+                fits.append((space.params(theta[j]), ll[j], h[j], True, steps[j], 1 + evals[j], "newton"))
             else:
-                out[r] = fit_mle(x[r], starts[r], space.fixed)
+                fits.append(_nelder_mead(x[r : r + 1], z0[j], space, starts[r], 1 + int(evals[j])))
+        info = _information(np.array([f[2] for f in fits]), space)
+        for r, (theta_hat, ll_hat, _, converged, iterations, n_eval, stop), (fim, std) in zip(feasible, fits, info):
+            out[r] = FitResult(
+                theta_hat=theta_hat,
+                neg2loglik=-2.0 * float(ll_hat),
+                converged=converged,
+                iterations=int(iterations),
+                fim=fim,
+                std_errors=std,
+                start=starts[r],
+                n_eval=int(n_eval),
+                stop=stop,
+            )
     return out
 
 

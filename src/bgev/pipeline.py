@@ -157,22 +157,23 @@ def _has_long_line(text: str, limit: int) -> bool:
     return False
 
 
-def _has_empty_field(body: str, delimiter: str) -> bool:
-    """True when some delimiter in ``body`` has another delimiter or a line
-    end on one side, that is when some line has an empty field."""
-    b = np.frombuffer(f"\n{body}\n".encode(), np.uint8)
-    sep = b == ord(delimiter)
-    edge = sep | (b == ord("\n"))
-    return bool(np.any(sep[1:] & edge[:-1]) or np.any(sep[:-1] & edge[1:]))
-
-
 def _fill_empty_fields(body: str, delimiter: str) -> str:
     """``body`` with "nan" in every empty field of a line that has a
-    delimiter; a blank line stays blank."""
-    d, filled = delimiter, f"\n{body}\n"
-    for old, new in [(d + d, d + "nan" + d)] * 2 + [("\n" + d, "\nnan" + d), (d + "\n", d + "nan\n")]:
-        filled = filled.replace(old, new)
-    return filled[1:-1]
+    delimiter; a blank line stays blank.  A field is empty where two field
+    edges (a delimiter or a line end) are adjacent and one of them is a
+    delimiter; one scan of the UTF-8 bytes finds them all, since no
+    continuation byte equals a delimiter or a line end."""
+    b = f"\n{body}\n".encode()
+    u = np.frombuffer(b, np.uint8)
+    sep = u == ord(delimiter)
+    edge = u == ord("\n")
+    edge |= sep
+    pairs = np.flatnonzero(edge[:-1] & edge[1:])  # empty fields and blank lines
+    gaps = pairs[sep[pairs] | sep[pairs + 1]] + 1
+    if not gaps.size:
+        return body
+    cuts, view = [1, *gaps.tolist(), len(b) - 1], memoryview(b)
+    return b"nan".join(view[i:j] for i, j in zip(cuts, cuts[1:])).decode()
 
 
 # whole fields that R and spreadsheets write for a missing value; the row
@@ -254,8 +255,7 @@ def _ingest_columns(path, text: str, delimiter: str, value_column, time_column, 
         return None
     names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
     body = _fill_missing_markers(body, delimiter)
-    if _has_empty_field(body, delimiter):
-        body = _fill_empty_fields(body, delimiter)
+    body = _fill_empty_fields(body, delimiter)
     try:
         table = np.loadtxt(
             io.StringIO(body),

@@ -4,12 +4,12 @@ One cell draws m replicate samples of size n at a known parameter vector,
 refits them from "truth plus uniform(0,1)" starts and aggregates empirical
 mean, bias and mean squared error per parameter.  The refits run as one
 ``fit_mle_rows`` call: damped Newton on all m replicates in lockstep, with
-a replicate that Newton cannot finish refitted alone by ``fit_mle``
-(Nelder-Mead fallback).  Each replicate's fit is exactly the one
-``fit_mle`` gives it alone.  The scale parameter is held at its true value
-during the refits, mirroring the three-parameter (xi, mu, delta) study
-design the tables follow; the free parameters are exactly the columns of
-the report.
+a replicate that Newton cannot finish handed on to the Nelder-Mead
+fallback alone.  Each replicate's fit is exactly the one ``fit_mle`` gives
+it alone, and a cell whose every replicate falls back is no special case.
+The scale parameter is held at its true value during the refits, mirroring
+the three-parameter (xi, mu, delta) study design the tables follow; the
+free parameters are exactly the columns of the report.
 
 Seeding is splittable: replicate r of a cell with seed s uses the stream
 seeded by (s, r), so serial and parallel executions produce identical

@@ -1,5 +1,6 @@
 """Shared fixtures and oracle helpers."""
 
+import math
 import os
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from scipy import integrate
 
 import bgev
-from bgev import BgevParams, pdf, support
+from bgev import BgevParams, gev_pdf, pdf, support, transform_forward
 
 
 def random_params(rng, xi_lo=0.15, xi_hi=1.0, delta_lo=-0.5, delta_hi=4.0, xi_sign=None):
@@ -40,6 +41,25 @@ def integrate_pdf(p: BgevParams, fn=None, epsabs=1e-12, epsrel=1e-10):
         )
         total += val
     return total
+
+
+def log_gev_factor(x, p: BgevParams):
+    """log gev_pdf(T(x)), with T the transform."""
+    with np.errstate(divide="ignore"):
+        return np.log(gev_pdf(transform_forward(x, p.sigma, p.delta), p.xi, p.mu))
+
+
+def log_jacobian(x, p: BgevParams):
+    """log of the transform's derivative sigma*(delta+1)*|x|**delta, at
+    x != 0 unless delta = 0."""
+    x = np.asarray(x, dtype=float)
+    return math.log(p.sigma * (p.delta + 1.0)) + (p.delta * np.log(np.abs(x)) if p.delta else np.zeros_like(x))
+
+
+def log_density_oracle(x, p: BgevParams):
+    """The log density written apart from the likelihood kernel's terms,
+    which logpdf shares: log gev_pdf(T(x)) plus the log Jacobian."""
+    return log_gev_factor(x, p) + log_jacobian(x, p)
 
 
 def child_env():

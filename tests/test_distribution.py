@@ -21,7 +21,6 @@ from bgev import (
     sf,
     support,
     tail_index,
-    transform_d1,
     transform_forward,
     transform_inverse,
 )
@@ -72,6 +71,9 @@ def test_pdf_zero_outside_support():
     assert pdf(support(p).lower - 0.1, p) == 0.0
     pn = BgevParams(xi=-0.5, mu=0.0, sigma=1.0, delta=1.0)
     assert pdf(support(pn).upper + 0.1, pn) == 0.0
+    # the endpoint itself, psi = 0 exactly, where the GEV power is unbounded
+    pe = BgevParams(xi=-2.0, mu=0.0, sigma=1.0, delta=0.0)
+    assert pdf(0.5, pe) == 0.0
 
 
 @pytest.mark.parametrize("xi", [-0.25, 0.25])
@@ -329,7 +331,7 @@ def test_monotone_factors_all_sign_cases(xi, delta):
         side = np.linspace(max(0.0, x_star) + 1e-9, up - 1e-6, 200)
         gev_factor = gev_pdf(transform_forward(side, p.sigma, p.delta), xi, mu)
         assert np.all(np.diff(gev_factor) <= 1e-12)
-    jac = transform_d1(side, p.sigma, p.delta)
+    jac = p.sigma * (p.delta + 1.0) * np.abs(side) ** p.delta
     diffs = np.diff(jac)
     if (side < 0).all():
         assert np.all(diffs >= -1e-12) if delta < 0 else np.all(diffs <= 1e-12)

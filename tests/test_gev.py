@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bgev import gev_cdf, gev_logpdf, gev_mode, gev_pdf, gev_quantile
+from bgev import gev_cdf, gev_mode, gev_pdf, gev_quantile
 
 
 def golden_section_argmax(f, a, b, tol=1e-6):
@@ -51,17 +51,6 @@ def test_pdf_cdf_against_scipy(rng):
         ref_cdf = stats.genextreme.cdf(x, c=-xi, loc=mu, scale=sg)
         assert gev_pdf(x, xi, mu, sg) == pytest.approx(ref_pdf, rel=1e-12, abs=1e-300)
         assert gev_cdf(x, xi, mu, sg) == pytest.approx(ref_cdf, rel=1e-12, abs=1e-300)
-
-
-def test_logpdf_consistent(rng):
-    for _ in range(20):
-        xi = rng.choice([-1, 1]) * rng.uniform(0.1, 1.5)
-        x = rng.uniform(-1, 3)
-        v = gev_pdf(x, xi, 0.0)
-        if v > 0:
-            assert gev_logpdf(x, xi, 0.0) == pytest.approx(math.log(v), rel=1e-12)
-        else:
-            assert gev_logpdf(x, xi, 0.0) == -np.inf
 
 
 def test_quantile_inverts_cdf(rng):

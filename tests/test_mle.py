@@ -8,14 +8,17 @@ from bgev import (
     BgevParams,
     InfeasibleStartError,
     ParameterError,
+    SimConfig,
     default_start,
     fisher_information,
     fit_mle,
     log_likelihood,
+    run_cell,
     sample,
 )
-from bgev import mle, pipeline
+from bgev import mle, pipeline, sim
 from bgev.neldermead import nelder_mead
+from bgev.sim import SimCellError
 
 
 # ----------------------------------------------------------------------- optimizer
@@ -253,6 +256,20 @@ def test_fallback_when_likelihood_runs_off():
     assert res.iterations == mle._MAX_ITER
     assert res.n_eval > mle._MAX_ITER
     assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
+    # every count and the optimum, pinned
+    assert (res.iterations, res.n_eval, res.neg2loglik) == (5000, 8720, 245.67773171918907)
+
+
+def test_every_row_falls_back():
+    # no row of the lockstep Newton finishes: each goes on to Nelder-Mead
+    # with its own evaluation count, and a one-replicate sim cell of such a
+    # row fails its budget rather than the run
+    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
+    x, start = study_replicate(truth, 50, seed=34009, r=2)
+    for res in mle.fit_mle_rows(np.array([x, x]), [start, start], SIGMA_FIXED):
+        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("max_iter", 5000, 8720, 245.67773171918907)
+    with pytest.raises(SimCellError, match="1/1 replicates failed"):
+        run_cell(SimConfig(truth=truth, n=50, m=1, seed=10))
 
 
 def count_kernel_rows(monkeypatch) -> list[int]:
@@ -420,7 +437,7 @@ def test_ascent_steps_fail_on_exactly_singular_matrix():
     fim = np.zeros((2, 4, 4))
     fim[:, :2, :2], fim[:, 2:, 2:] = neg_h, np.eye(2)
     assert np.linalg.eigvalsh(fim[0])[0] > 0.0
-    (f0, std0), (f1, std1) = mle._information(-fim)
+    (f0, std0), (f1, std1) = mle._information(-fim, mle._Space({}))
     assert f0 is not None and std0 is None
     assert std1.tobytes() == np.sqrt(np.diag(np.linalg.inv(fim[1]))).tobytes()
 
@@ -462,6 +479,38 @@ def test_std_errors_present_for_clean_fit():
     res = fit_mle(x, truth)
     assert res.fim is not None and np.array_equal(res.fim, res.fim.T)
     assert res.std_errors is not None and np.all(res.std_errors > 0)
+    # a pinned parameter has SE 0, the others come from the free block alone
+    x = sample(500, BgevParams(xi=0.25, mu=0.0, sigma=1.0, delta=0.0), seed=3)
+    res = fit_mle(x, default_start(x), {"delta": 0.0})
+    free = [0, 1, 3]
+    assert res.fim.shape == (4, 4) and res.std_errors[2] == 0.0
+    assert res.std_errors[free].tobytes() == np.sqrt(np.diag(np.linalg.inv(res.fim[np.ix_(free, free)]))).tobytes()
+
+
+def test_std_errors_calibrated_on_a_sim_cell():
+    # calibration oracle, sigma pinned as in every sim fit: on the mc_study
+    # cell (0.25, 1, -0.5) at n = 1000, drawn as run_cell draws it, the mean
+    # SE of each free parameter is within 15% of the Monte Carlo SD of its
+    # estimates, and the 95% Wald intervals cover the truth as often as a
+    # binomial(m, 0.95) count allows at the 99.9% level
+    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
+    n, m, seed = 1000, 200, 5
+    xs, shifts = np.empty((m, n)), np.empty((m, 3))
+    for r in range(m):
+        rng = np.random.default_rng([seed, r])
+        xs[r] = sample(n, truth, rng)
+        shifts[r] = rng.random(3)
+    fits = mle.fit_mle_rows(xs, sim._starts(truth, xs, shifts), SIGMA_FIXED)
+    assert all(f.stop == "newton" and f.std_errors is not None for f in fits)
+    free = [0, 2, 3]
+    est = np.array([[f.theta_hat.mu, f.theta_hat.delta, f.theta_hat.xi] for f in fits])
+    se = np.array([f.std_errors for f in fits])
+    assert np.all(se[:, 1] == 0.0)
+    ratio = se[:, free].mean(axis=0) / est.std(axis=0, ddof=1)
+    assert np.all(np.abs(ratio - 1.0) <= 0.15), ratio
+    covered = (np.abs(est - [truth.mu, truth.delta, truth.xi]) <= stats.norm.ppf(0.975) * se[:, free]).sum(axis=0)
+    lo, hi = stats.binom.interval(0.999, m, 0.95)
+    assert np.all((lo <= covered) & (covered <= hi)), covered
 
 
 def test_default_start_feasible(rng):

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from bgev import transform_d1, transform_d2, transform_forward, transform_inverse
+from bgev import BgevParams, logpdf, transform_forward, transform_inverse
 from tests.conftest import central_diff
 
 
@@ -51,48 +53,36 @@ def test_round_trip_property(rng):
         assert transform_forward(transform_inverse(y, s, d), s, d) == pytest.approx(y, rel=1e-12, abs=1e-300)
 
 
-def test_d1_direct_values():
-    assert transform_d1(2.0, 1.0, 0.0) == 1.0
-    assert transform_d1(-2.0, 3.0, 2.0) == pytest.approx(36.0, rel=1e-15)
-    assert transform_d2(2.0, 1.0, 2.0) == pytest.approx(12.0, rel=1e-15)
-
-
-def test_d1_nonnegative(rng):
-    xs = rng.uniform(-5, 5, size=200)
-    xs = xs[xs != 0]
-    assert np.all(transform_d1(xs, 2.0, -0.5) >= 0)
-    assert np.all(transform_d1(xs, 2.0, 3.0) >= 0)
-
-
-def test_d1_matches_finite_difference(rng):
+def test_logpdf_jacobian_matches_finite_difference(rng):
+    # at mu = T(x) the GEV factor is exp(-1), so logpdf(x) - log(gev_pdf(T(x)))
+    # is the log of the transform's first derivative there
     for _ in range(60):
         s = rng.uniform(0.2, 4)
         d = rng.uniform(-0.8, 4)
         x = rng.uniform(0.3, 5) * rng.choice([-1, 1])
+        p = BgevParams(xi=rng.choice([-1, 1]) * rng.uniform(0.1, 2), mu=transform_forward(x, s, d), sigma=s, delta=d)
         h = 1e-6 * max(1.0, abs(x))
         fd = central_diff(lambda t: transform_forward(t, s, d), x, h)
-        assert transform_d1(x, s, d) == pytest.approx(fd, rel=1e-6)
+        assert math.exp(logpdf(x, p) + 1.0) == pytest.approx(fd, rel=1e-6)
 
 
-def test_d2_matches_finite_difference_of_d1(rng):
+def test_logpdf_x_derivative_matches_finite_difference(rng):
+    # d/dx logpdf = T''/T' + T' * d/dT log gev_pdf(T), with T' and T'' the
+    # transform's first and second derivatives, T''/T' = delta/x
     for _ in range(60):
         s = rng.uniform(0.2, 4)
         d = rng.uniform(-0.8, 4)
         x = rng.uniform(0.3, 5) * rng.choice([-1, 1])
-        h = 1e-6 * max(1.0, abs(x))
-        fd = central_diff(lambda t: transform_d1(t, s, d), x, h)
-        assert transform_d2(x, s, d) == pytest.approx(fd, rel=1e-6, abs=1e-8)
-
-
-def test_derivative_domain_errors_at_origin():
-    with pytest.raises(ValueError):
-        transform_d1(0.0, 1.0, -0.5)
-    with pytest.raises(ValueError):
-        transform_d2(0.0, 1.0, 0.5)
-    # smooth cases are fine at the origin
-    assert transform_d1(0.0, 2.0, 1.5) == 0.0
-    assert transform_d2(0.0, 2.0, 0.0) == 0.0
-    assert transform_d2(0.0, 2.0, 1.5) == 0.0
+        xi = rng.choice([-1, 1]) * rng.uniform(0.1, 2)
+        offset = rng.uniform(-0.5, 0.5) / abs(xi)
+        t = transform_forward(x, s, d)
+        p = BgevParams(xi=xi, mu=t - offset, sigma=s, delta=d)
+        psi = 1.0 + xi * (t - p.mu)
+        d1 = s * (d + 1.0) * abs(x) ** d
+        exact = d / x + d1 * (psi ** (-1.0 / xi) - 1.0 - xi) / psi
+        h = 1e-5 * min(abs(x), psi / abs(xi * d1))  # psi moves by 1e-5 of itself at most
+        fd = central_diff(lambda v: logpdf(v, p), x, h)
+        assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_parameter_validation():

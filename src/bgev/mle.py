@@ -389,8 +389,8 @@ def _nelder_mead(x: np.ndarray, z0: np.ndarray, space: _Space, start: BgevParams
 def fit_mle_rows(
     x, starts: list[BgevParams], fixed: dict[str, float] | None = None
 ) -> list[FitResult | InfeasibleStartError | ParameterError]:
-    """``fit_mle`` on every row of x (m, n), each from its own start, with
-    one Newton run for all rows in lockstep.
+    """The fit of ``fit_mle`` for every row of x (m, n), each from its own
+    start, with one Newton run for all rows in lockstep.
 
     Entry r is the fit of row r from starts[r], or the InfeasibleStartError
     or ParameterError its start raises; it is bitwise the fit of row r
@@ -425,7 +425,7 @@ def fit_mle_rows(
         fits = []  # (theta_hat, ll, h, converged, iterations, n_eval, stop) per feasible row
         for j, r in enumerate(feasible):
             if done[j]:
-                fits.append((space.params(theta[j]), ll[j], h[j], True, steps[j], 1 + evals[j], "newton"))
+                fits.append((space.params(theta[j]), ll[j], h[j], True, steps[j], 1 + int(evals[j]), "newton"))
             else:
                 fits.append(_nelder_mead(x[r : r + 1], z0[j], space, starts[r], 1 + int(evals[j])))
         info = _information(np.array([f[2] for f in fits]), space)

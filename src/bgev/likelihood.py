@@ -6,8 +6,9 @@ quantities once and differentiates through the GEV kernel
 psi = 1 + xi*(sigma*x*|x|**delta - mu); every entry is pinned by central
 finite-difference tests.  The kernel also takes m samples of one size at
 once, each with its own parameter vector: that is how a Monte Carlo cell is
-fitted in lockstep, and row i of such a call is bitwise the call on row i
-alone.
+fitted in lockstep.  Every step is numpy arithmetic that is elementwise
+over the rows, a reduction along one row or a product of one row's
+matrices, so row i of such a call is bitwise the call on row i alone.
 
 Infeasible evaluations (an observation outside the support of the candidate
 parameters, or sitting exactly at the origin with delta != 0) yield -inf for
@@ -22,8 +23,6 @@ non-finite entry makes the optimizer drop the row.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import BgevParams
@@ -35,13 +34,6 @@ PARAM_ORDER = ("mu", "sigma", "delta", "xi")
 # elements of data per batched pass: rows = max(1, _CHUNK // n) samples go
 # through the kernel together, which bounds its temporaries at any m
 _CHUNK = 2048
-
-
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of two (m, k) arrays.  A stack of 1 x k by
-    k x 1 products runs the BLAS dot of a 1-D ``a[i] @ b[i]``, bit for bit;
-    a row sum of ``a * b`` would not."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray):
@@ -89,114 +81,71 @@ def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray):
 def _rows(theta: np.ndarray, x: np.ndarray, order: int):
     """The batched kernel on one chunk: theta (m, 4), x (m, n).
 
-    numpy does the per-observation work, its row sums and the BLAS
-    products for all rows at once.  Each row's log-likelihood, gradient and
-    Hessian are then assembled from those in Python floats, term by term in
-    the order of the one-sample formula: that keeps a batched row bitwise
-    equal to the row alone, and the math module's log1p and float powers
-    can differ from numpy's in the last bit.
+    Every step is elementwise over rows, a reduction along a row or a
+    product of one row's matrices, so no value of a row depends on the
+    rows batched with it: a batched row is bitwise the row alone.
     """
     m, n = x.shape
-    params = [row[1:] for row in theta.tolist()]  # (sigma, delta, xi) per row
+    sg, dl, xi = theta[:, 1], theta[:, 2], theta[:, 3]
     # terms whose row sums are needed share one buffer, so that one
-    # reduction gives them all: L, u, a, then f_xi, f_psi, f_xixi
-    q = np.empty((m, 6 if order else 3, n))
+    # reduction gives them all: L, u, a; f_xi, f_psi; f_xixi, and f_psi
+    # times psi's second derivatives w, w*L, t*L and t*L**2 (the second
+    # and fourth without their factor xi)
+    q = np.empty((m, (3, 5, 10)[order], n))
     with np.errstate(all="ignore"):
         L, w, t, d, psi, u, a = log_density_terms(theta, x, q)
-        sums = q[:, :3].sum(axis=2).tolist()
         if order:
-            xi = theta[:, 3:]
+            v = theta[:, 3:]  # xi, broadcast along the rows of x
+            v2 = v * v
             tl = t * L
-            p = np.empty((m, 4, n))
-            p[:, 0] = -xi
-            np.multiply(xi, w, out=p[:, 1])
-            np.multiply(xi, tl, out=p[:, 2])
+            p = np.empty((m, 4, n))  # d psi / d theta per observation
+            p[:, 0] = -v
+            np.multiply(v, w, out=p[:, 1])
+            np.multiply(v, tl, out=p[:, 2])
             p[:, 3] = d
-            powers = np.array([(_pow(v, 2), _pow(v, 3), _pow(v, 4)) for _, _, v in params]).T[:, :, None]
             one_a = 1.0 - a
-            np.divide(u * one_a, powers[0], out=q[:, 3])  # f_xi
-            xi_psi = xi * psi
-            f_psi = np.divide(a - 1.0 - xi, xi_psi, out=q[:, 4])
-            g_psi = np.matmul(p, f_psi[:, :, None])[:, :, 0].tolist()
+            np.divide(u * one_a, v2, out=q[:, 3])  # f_xi
+            v_psi = v * psi
+            f_psi = np.divide(a - 1.0 - v, v_psi, out=q[:, 4])
         if order == 2:
-            f_psipsi = (1.0 + xi) * (xi - a) / xi_psi**2
-            f_psixi = (one_a + a * u / xi) / (powers[0] * psi)
-            np.multiply(-u, 2.0 * one_a / powers[1] + u * a / powers[2], out=q[:, 5])  # f_xixi
-            h = np.matmul(p * f_psipsi[:, None, :], p.transpose(0, 2, 1))
-            h_psi = (0.5 * (h + h.transpose(0, 2, 1))).reshape(m, 16).tolist()
-            cross = np.matmul(p, f_psixi[:, :, None])[:, :, 0].tolist()
-            # second derivatives of psi, weighted by f_psi
-            dots = list(zip(*(row_dots(f_psi, v).tolist() for v in (w * L, w, tl, tl * L))))
-        sums_f = q[:, 3:].sum(axis=2).tolist() if order else sums
-    ll, grads, hessians = [], [], []
-    all_finite = True
-    for r, (s, e, v) in enumerate(params):
-        s_l, s_u, s_a = sums[r]
-        ll.append(n * math.log(s) + n * math.log1p(e) + e * s_l - (1.0 + 1.0 / v) * s_u - s_a)
-        all_finite = all_finite and math.isfinite(ll[-1])
-        if order:
-            g = g_psi[r]
-            g[1] += n / s
-            g[2] += n / (1.0 + e) + s_l
-            g[3] += sums_f[r][0]
-            grads.append(g)
-        if order == 2:
-            _, s_fpsi, s_fxixi = sums_f[r]
-            hessians.append(_hessian_row(n, s, e, v, h_psi[r], cross[r], s_fpsi, s_fxixi, *dots[r]))
-    ll = np.array(ll)
-    # psi <= 0 or NaN anywhere (an observation at the origin with delta != 0
-    # included), and psi = inf, leave ll non-finite
-    bad = None
-    if not all_finite:
+            b = one_a + u * a / v  # shared by f_xixi and f_psixi
+            np.divide(u * (one_a + b), -(v2 * v), out=q[:, 5])  # f_xixi
+            np.multiply(f_psi, w, out=q[:, 6])
+            np.multiply(q[:, 6], L, out=q[:, 7])
+            np.multiply(f_psi, tl, out=q[:, 8])
+            np.multiply(q[:, 8], L, out=q[:, 9])
+        s = q.sum(axis=2)
+        ll = n * np.log(sg) + n * np.log1p(dl) + dl * s[:, 0] - (1.0 + 1.0 / xi) * s[:, 1] - s[:, 2]
+        # psi <= 0 or NaN anywhere (an observation at the origin with
+        # delta != 0 included), and psi = inf, leave ll non-finite
         bad = ~np.isfinite(ll)
         ll[bad] = -np.inf
-    if order == 0:
-        return ll
-    g = np.array(grads)
-    if bad is not None:
+        if order == 0:
+            return ll
+        g = np.matmul(p, f_psi[:, :, None])[:, :, 0]
+        g[:, 1] += n / sg
+        g[:, 2] += n / (1.0 + dl) + s[:, 0]
+        g[:, 3] += s[:, 3]
         g[bad] = np.nan
-    if order == 1:
-        return ll, g
-    h = np.array(hessians).reshape(m, 4, 4)
-    if bad is not None:
+        if order == 1:
+            return ll, g
+        f_psipsi = (1.0 + v) * (v - a) / v_psi**2
+        c = np.matmul(p * f_psipsi[:, None, :], p.transpose(0, 2, 1))
+        # one triangle, added with its transpose so that H is exactly
+        # symmetric: the explicit xi dependence of f in row 3 (so twice on
+        # the diagonal) and the off-diagonal second derivatives of psi
+        tri = np.zeros((m, 4, 4))
+        tri[:, 3] = np.matmul(p, (b / (v2 * psi))[:, :, None])[:, :, 0]  # f_psixi
+        tri[:, 3, 0] -= s[:, 4]
+        tri[:, 3, 1] += s[:, 6]
+        tri[:, 3, 2] += s[:, 8]
+        tri[:, 2, 1] = xi * s[:, 7]
+        h = 0.5 * (c + c.transpose(0, 2, 1)) + (tri + tri.transpose(0, 2, 1))
+        h[:, 1, 1] -= n / sg**2
+        h[:, 2, 2] += xi * s[:, 9] - n / (1.0 + dl) ** 2
+        h[:, 3, 3] += s[:, 5]
         h[bad] = np.nan
     return ll, g, h
-
-
-def _hessian_row(n, sg, dl, xi, h, cross, s_fpsi, s_fxixi, s_wl, s_w, s_tl, s_tll) -> list[float]:
-    """One row's Hessian, flat, from its curvature term h = (P * f_psipsi) @ P.T
-    and its sums, each entry taking its terms in the one-sample order."""
-    # second derivatives of psi, weighted by f_psi
-    h_mu_xi = -s_fpsi
-    h_sg_dl = xi * s_wl
-    h[3] += h_mu_xi
-    h[12] += h_mu_xi
-    h[6] += h_sg_dl
-    h[9] += h_sg_dl
-    h[7] += s_w
-    h[13] += s_w
-    h[11] += s_tl
-    h[14] += s_tl
-    h[10] += xi * s_tll
-    # explicit xi dependence of f, and the direct sigma/delta terms
-    for j, c in enumerate(cross):
-        h[12 + j] += c
-    for j, c in enumerate(cross):
-        h[4 * j + 3] += c
-    h[15] += s_fxixi
-    sg2 = _pow(sg, 2)
-    h[5] -= n / sg2 if sg2 else math.inf
-    h[10] -= n / _pow(1.0 + dl, 2)
-    return h
-
-
-def _pow(v: float, k: int) -> float:
-    """v**k in floats, inf of v's sign where it overflows, which a float
-    power raises on."""
-    try:
-        return v**k
-    except OverflowError:
-        return math.copysign(math.inf, v) if k % 2 else math.inf
 
 
 def kernel(theta, x, order: int = 2):

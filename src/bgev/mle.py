@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distribution import sample
-from .likelihood import PARAM_ORDER, kernel, log_likelihood, row_dots
+from .likelihood import PARAM_ORDER, kernel, log_likelihood
 from .neldermead import nelder_mead
 from .params import BgevParams, ParameterError
 
@@ -84,18 +84,6 @@ def _to_internal(p: BgevParams) -> list[float]:
     return [p.mu, math.log(p.sigma), math.log1p(p.delta), p.xi]
 
 
-def _math_rows(f, v: np.ndarray) -> list[float]:
-    """math.exp or math.expm1 of each entry, inf where it overflows; numpy's
-    versions can differ in the last bit."""
-    out = []
-    for t in v.tolist():
-        try:
-            out.append(f(t))
-        except OverflowError:
-            out.append(math.inf)
-    return out
-
-
 # bounds of a natural parameter row (mu, sigma, delta, xi), both open: every
 # entry finite, sigma > 0 and delta > -1; |xi| >= _XI_FLOOR is checked apart
 _LOWER = np.array([-np.inf, 0.0, -1.0, -np.inf])
@@ -113,11 +101,14 @@ class _Space:
     def natural(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Natural parameter rows (mu, sigma, delta, xi) of the free internal
         coordinates z (r, k), and the mask of rows inside the parameter
-        space; pinned values bypass the log round trip exactly."""
+        space; pinned values bypass the log round trip exactly.  The map is
+        elementwise, so a row's values do not depend on the other rows; a
+        coordinate whose exp overflows gives inf, which is outside."""
         theta = np.empty((len(z), 4))
         theta[:] = self.pinned
-        for j, col in enumerate(self.free):
-            theta[:, col] = z[:, j] if col in (0, 3) else _math_rows(math.exp if col == 1 else math.expm1, z[:, j])
+        with np.errstate(over="ignore"):
+            for j, col in enumerate(self.free):
+                theta[:, col] = z[:, j] if col in (0, 3) else (np.exp if col == 1 else np.expm1)(z[:, j])
         inside = np.logical_and.reduce((theta > _LOWER) & (theta < np.inf), axis=1)
         return theta, inside & (np.abs(theta[:, 3]) >= _XI_FLOOR)
 
@@ -192,6 +183,13 @@ _JAC_SHIFT = np.array([1.0, 0.0, 1.0, 1.0])
 _DIAG_SG_DL = np.diag([0.0, 1.0, 1.0, 0.0])
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of two (m, k) arrays, one 1 x k by k x 1
+    product per row, so that a row's value does not depend on the rows
+    batched with it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _finite_rows(a: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(np.isfinite(a.reshape(len(a), math.prod(a.shape[1:]))), axis=1)
 
@@ -260,7 +258,7 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
         h_z = jac[:, :, None] * h * jac[:, None, :] + g_z[:, None, :] * _DIAG_SG_DL
         g_z = g_z[:, free]
         s, lam, failed = _ascent_steps(-h_z[:, block[0], block[1]], g_z)
-        slope = row_dots(g_z, s)
+        slope = _row_dots(g_z, s)
         stop = (lam == 0.0) & (slope < 2.0 * _FTOL)
         if failed.size or True in stop.tolist():
             ids = idx[stop]

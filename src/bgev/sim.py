@@ -77,6 +77,8 @@ class SimConfig:
             raise ValueError("m must be >= 1")
         if self.n < 8:
             raise ValueError("n must be >= 8")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,9 @@ def run_cell(cfg: SimConfig) -> SimReport:
 def run_suite(
     cells: list[SimConfig], parallelism: int = 1
 ) -> tuple[list[SimReport | None], list[tuple[int, str]]]:
-    """Run all cells, optionally across processes.
+    """Run all cells, optionally across processes: at most parallelism
+    workers and never more than there are cells, a pool of one being this
+    process.
 
     Returns (reports, errors): reports holds one entry per cell in input
     order, None where the cell errored; errors pairs each failed cell index
@@ -197,11 +201,12 @@ def run_suite(
         raise ValueError("no cells to run")
     reports: list[SimReport | None] = [None] * len(cells)
     errors: list[tuple[int, str]] = []
-    if parallelism > 1:
+    workers = min(parallelism, len(cells))  # a pool starts all its workers at once
+    if workers > 1:
         # imported here: the process pool costs every `import bgev` ~16 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, c) for c in cells]
             for i, fut in enumerate(futures):
                 try:
@@ -271,16 +276,22 @@ def load_suite_config(path: str) -> list[SimConfig]:
     and cells are expanded in xi-outer, mu, delta, n-inner order with seeds
     seed, seed+1, ...  A ``[cell NAME]`` section is a one-point grid: the
     same keys, one value each.  A section without xi, mu, delta or n
-    raises ValueError naming the file, the section and the keys.
+    raises ValueError naming the file, the section and the keys; a file
+    configparser cannot read (a duplicate section or key, no section
+    header) raises ValueError naming the file.  Values take no ``%``
+    interpolation.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
     if not read:
         raise FileNotFoundError(path)
     cells: list[SimConfig] = []
     for section in parser.sections():
         sec = parser[section]
-        kind = section.split()[0].lower()
+        kind = (section.split() or [""])[0].lower()
         if kind not in ("cell", "grid"):
             raise ValueError(f"unknown section kind {section!r} (expected 'cell ...' or 'grid ...')")
         lacking = [key for key in ("xi", "mu", "delta", "n") if key not in sec]

@@ -1,8 +1,15 @@
+import io
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgev.cli import main
 from tests.conftest import child_env
@@ -214,3 +221,75 @@ def test_sim_deterministic_outputs(tmp_path, capsys):
 def test_sim_missing_config(capsys):
     rc, _, err = run_cli(["sim", "--config", "/does/not/exist.ini"], capsys)
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "body, says, names_file",
+    [
+        pytest.param("[cell a]\nxi = 1\n[cell a]\nxi = 2\n", "section 'cell a' already exists", True, id="duplicate-section"),
+        pytest.param("[cell a]\nxi = 1\nxi = 2\n", "option 'xi' in section 'cell a' already exists", True, id="duplicate-key"),
+        pytest.param("xi = 1\nmu = 0\ndelta = 0\nn = 50\n", "no section headers", True, id="no-section-header"),
+        pytest.param("[cell a]\nxi = 1%\nmu = 0\ndelta = 0\nn = 50\n", "'1%'", False, id="percent-in-value"),
+        pytest.param("[ ]\nxi = 1\n", "unknown section kind", False, id="blank-section-name"),
+        pytest.param("[cell a]\nxi = 0.5\nmu = 0\ndelta = 2\nn = 50\nm = 2\nseed = -1\n", "seed must be >= 0", False, id="negative-seed"),
+    ],
+)
+def test_sim_malformed_config_exits_2(tmp_path, capsys, body, says, names_file):
+    cfg = tmp_path / "suite.ini"
+    cfg.write_text(body, encoding="utf-8")
+    rc, _, err = run_cli(["sim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}: " if names_file else "error: ")
+    assert says in err and "Traceback" not in err
+
+
+# a suite file: one to three sections of small cells (m <= 3, 8 <= n <= 60),
+# any of which may lose its header, repeat a name, take an unknown kind, or
+# have a key dropped, repeated or given a non-numeric, zero or negative value
+SUITE_VALUES = {
+    "xi": st.sampled_from(["0.5", "-0.25", "1"]),
+    "mu": st.sampled_from(["-1", "0", "1"]),
+    "sigma": st.just("1"),
+    "delta": st.sampled_from(["0", "0.5", "2", "-0.5"]),
+    "n": st.integers(8, 60).map(str),
+    "m": st.integers(1, 3).map(str),
+    "seed": st.integers(0, 99).map(str),
+}
+BAD_VALUES = st.sampled_from(["abc", "", "0", "-1", "-2.5", "nan", "1e999", "8 9"])
+
+
+@st.composite
+def suite_texts(draw) -> str:
+    lines = []
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["cell"] * 4 + ["grid", "", "other"]))
+        if not (k == 0 and draw(st.integers(0, 5)) == 0):  # sometimes no header at all
+            lines.append(f"[{kind} {draw(st.sampled_from([f's{k}'] * 3 + ['s0', '']))}]")
+        entries = {key: draw(values) for key, values in SUITE_VALUES.items()}
+        if kind == "grid":
+            entries["n"] += f", {draw(SUITE_VALUES['n'])}"
+        if draw(st.integers(0, 2)) == 0:  # break one key
+            key, how = draw(st.sampled_from(list(entries))), draw(st.sampled_from(["bad", "drop", "repeat"]))
+            if how == "drop":
+                del entries[key]
+            elif how == "bad":
+                entries[key] = draw(BAD_VALUES)
+            else:
+                lines.append(f"{key} = {entries[key]}")
+        lines += [f"{key} = {value}" for key, value in entries.items()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(suite_texts())
+def test_sim_fuzz_exits_with_a_code_never_a_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "suite.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["sim", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -240,7 +240,8 @@ rows_of_a_cell = st.lists(
 def test_batched_rows_equal_rows_alone(cells, n, overshoot):
     # one (m, n) call over mixed rows: each row is bitwise the 1-D call on
     # that row, infeasible rows carry the sentinels in their own row only,
-    # and nothing warns
+    # and nothing warns; and the first row, repeated to fill batches of 1
+    # to 17, gives the same bits at every position
     rows = [feasible_or_broken(p, interior_sample(p, n, seed), kind, overshoot) for p, seed, kind in cells]
     theta = np.array([as_row(p) for p, _ in rows])
     xs = np.array([x for _, x in rows])
@@ -248,6 +249,12 @@ def test_batched_rows_equal_rows_alone(cells, n, overshoot):
         warnings.simplefilter("error")
         batched = [kernel(theta, xs, order) for order in (0, 1, 2)]
         alone = [[kernel(p, x, order) for p, x in rows] for order in (0, 1, 2)]
+        swept = [[kernel(np.tile(theta[0], (m, 1)), np.tile(xs[0], (m, 1)), order) for m in range(1, 18)] for order in (0, 1, 2)]
+    for order in (0, 1, 2):
+        one = alone[order][0]
+        for m, out in enumerate(swept[order], start=1):
+            for i in range(m):
+                assert same(out[i], one) if order == 0 else all(same(b[i], o) for b, o in zip(out, one))
     for order in (0, 1, 2):
         for i, ((p, x), (_, _, kind)) in enumerate(zip(rows, cells)):
             one = alone[order][i]

@@ -48,6 +48,41 @@ def test_parallel_serial_agreement():
     assert reports_to_csv(serial) == reports_to_csv(parallel)
 
 
+def test_parallelism_never_exceeds_the_cell_count(monkeypatch):
+    # a pool starts all its workers up front, so it is asked for no more
+    # than there are cells; the fake pool runs each cell in-process
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cells = [replace(CELL, m=3, seed=s) for s in range(3)]
+    serial, _ = run_suite(cells)
+    for parallelism, expect in ((64, [3]), (2, [2]), (1, [])):
+        sizes.clear()
+        reports, errors = run_suite(cells, parallelism=parallelism)
+        assert sizes == expect and not errors
+        assert reports_to_csv(reports) == reports_to_csv(serial)
+    sizes.clear()
+    run_suite(cells[:1], parallelism=8)  # one cell runs in this process
+    assert sizes == []
+
+
 def test_single_cell_suite_equals_run_cell():
     suite, errors = run_suite([CELL])
     assert not errors
@@ -87,6 +122,8 @@ def test_config_validation():
         SimConfig(truth=CELL.truth, n=4, m=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(truth=CELL.truth, n=100, m=0, seed=1)
+    with pytest.raises(ValueError):
+        SimConfig(truth=CELL.truth, n=100, m=10, seed=-1)
 
 
 def test_table_rendering_contains_cells():

@@ -31,9 +31,9 @@ __all__ = ["PARAM_ORDER", "kernel", "log_likelihood", "score", "hessian"]
 
 PARAM_ORDER = ("mu", "sigma", "delta", "xi")
 
-# elements of data per batched pass: rows = max(1, _CHUNK // n) samples go
+# elements of data per batched pass: max(1, _CHUNK // n) samples go
 # through the kernel together, which bounds its temporaries at any m
-_CHUNK = 2048
+_CHUNK = 4096
 
 
 def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray):
@@ -148,7 +148,7 @@ def _rows(theta: np.ndarray, x: np.ndarray, order: int):
     return ll, g, h
 
 
-def kernel(theta, x, order: int = 2):
+def kernel(theta, x, order: int = 2, rows=None):
     """Log-likelihood and, by ``order``, its derivatives from one pass.
 
     order 0 returns ll, order 1 (ll, g), order 2 (ll, g, H).  With
@@ -164,7 +164,10 @@ def kernel(theta, x, order: int = 2):
     gradient and a (4, 4) Hessian.  Or it is an (m, 4) array of admissible
     parameter rows in PARAM_ORDER with an (m, n) array of samples, giving
     (m,) log-likelihoods, (m, 4) gradients and (m, 4, 4) Hessians; row i
-    equals the call on row i alone, bit for bit.
+    equals the call on row i alone, bit for bit.  With rows, an index
+    array of length m, theta's row i goes with x[rows[i]] instead: the
+    rows are gathered one chunk at a time, so the subset of x is never
+    copied whole.
     """
     if isinstance(theta, BgevParams):
         row = np.array([[theta.mu, theta.sigma, theta.delta, theta.xi]])
@@ -174,10 +177,11 @@ def kernel(theta, x, order: int = 2):
         return (float(out[0][0]), *(v[0] for v in out[1:]))
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
-    rows = max(1, _CHUNK // x.shape[1])
-    if len(x) <= rows:
-        return _rows(theta, x, order)
-    parts = [_rows(theta[i : i + rows], x[i : i + rows], order) for i in range(0, len(x), rows)]
+    per = max(1, _CHUNK // x.shape[1])
+    chunk = (lambda i: x[i : i + per]) if rows is None else (lambda i: x[rows[i : i + per]])
+    if len(theta) <= per:
+        return _rows(theta, chunk(0), order)
+    parts = [_rows(theta[i : i + per], chunk(i), order) for i in range(0, len(theta), per)]
     if order == 0:
         return np.concatenate(parts)
     return tuple(np.concatenate(v) for v in zip(*parts))

@@ -11,8 +11,9 @@ plain GEV arises as the delta = 0 submodel.  The stopping tolerances and the
 fallback's iteration cap are module constants.
 
 There is one fit path, and its Newton runs many samples of one size in
-lockstep: ``fit_mle_rows`` fits all the replicates of a Monte Carlo cell at
-once, and ``fit_mle`` is its one-sample case.  Every damping, line-search
+lockstep: ``fit_mle_rows`` fits all the replicates of the Monte Carlo cells
+of one sample size and scale at once, and ``fit_mle`` is its one-sample
+case.  Every damping, line-search
 and stop decision is made per row, so each row takes exactly the path it
 takes alone; a row Newton cannot finish goes on to Nelder-Mead alone.
 """
@@ -194,22 +195,22 @@ def _finite_rows(a: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(np.isfinite(a.reshape(len(a), math.prod(a.shape[1:]))), axis=1)
 
 
-def _probe(space: _Space, z: np.ndarray, x: np.ndarray):
-    """Log-likelihood of each row of x at its free internal coordinates z,
-    -inf where z leaves the parameter space; the mask of rows that were
-    evaluated; and the natural parameter rows."""
+def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None):
+    """Log-likelihood of each row of x, or of x[rows], at its free internal
+    coordinates z, -inf where z leaves the parameter space; the mask of
+    rows that were evaluated; and the natural parameter rows."""
     theta, ok = space.natural(z)
     if False not in ok.tolist():
-        return kernel(theta, x, 0), ok, theta
+        return kernel(theta, x, 0, rows), ok, theta
     ll = np.full(len(z), -np.inf)
     if True in ok.tolist():
-        ll[ok] = kernel(theta[ok], x[ok], 0)
+        ll[ok] = kernel(theta[ok], x, 0, np.flatnonzero(ok) if rows is None else rows[ok])
     return ll, ok, theta
 
 
-def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
-    """Damped Newton ascent of every row of x (m, n) from its free internal
-    start z (m, k), all rows in lockstep.
+def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
+    """Damped Newton ascent of the samples x[rows] of the data x (M, n),
+    each from its free internal start, a row of z (m, k), all in lockstep.
 
     Each row takes exactly the path it takes alone: its damping, its
     Armijo backtracking and its stop are decided on its own numbers.  A row
@@ -224,9 +225,10 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
 
     The arrays of the rows still running are kept compact, and compacted
     again only when rows stop or fail, so a step in which no row leaves
-    does no gathering or scattering.
+    does no gathering or scattering.  The data are never compacted: the
+    kernel gathers the running rows of x a chunk at a time.
     """
-    m = len(x)
+    m = len(z)
     theta_out = np.full((m, 4), np.nan)
     ll_out = np.full(m, -np.inf)
     h_out = np.full((m, 4, 4), np.nan)
@@ -235,22 +237,22 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
     done = np.zeros(m, dtype=bool)
     free, block = space.free, space.free_block
     # the running rows: original row, evaluations, free internal and
-    # natural coordinates, and data; an accepted line-search probe hands
-    # its natural coordinates on to the next iterate
+    # natural coordinates, and row of x; an accepted line-search probe
+    # hands its natural coordinates on to the next iterate
     idx, ev = np.arange(m), np.zeros(m, dtype=int)
     theta, ok = space.natural(z)
     z = z.copy()
     if False in ok.tolist():
-        idx, z, x, theta = idx[ok], z[ok], x[ok], theta[ok]
+        idx, z, rows, theta = idx[ok], z[ok], rows[ok], theta[ok]
     for step in range(_NEWTON_MAX_STEPS):
         if not idx.size:
             break
         ev += 1
-        ll, g, h = kernel(theta, x, 2)
+        ll, g, h = kernel(theta, x, 2, rows)
         ok = _finite_rows(g) & _finite_rows(h)
         if False in ok.tolist():
             evals[idx[~ok]] = ev[~ok]
-            idx, ev, z, x, theta, ll, g, h = idx[ok], ev[ok], z[ok], x[ok], theta[ok], ll[ok], g[ok], h[ok]
+            idx, ev, z, rows, theta, ll, g, h = idx[ok], ev[ok], z[ok], rows[ok], theta[ok], ll[ok], g[ok], h[ok]
             if not idx.size:
                 break
         jac = theta * _JAC_SCALE + _JAC_SHIFT
@@ -268,16 +270,16 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
             go = ~stop
             go[failed] = False
             evals[idx[~go]] = ev[~go]
-            idx, ev, z, x, theta, ll, s, slope = idx[go], ev[go], z[go], x[go], theta[go], ll[go], s[go], slope[go]
+            idx, ev, z, rows, theta, ll, s, slope = idx[go], ev[go], z[go], rows[go], theta[go], ll[go], s[go], slope[go]
             if not idx.size:
                 break
         # backtracking line search; the rows still searching share alpha
         at = np.arange(len(idx))  # their positions among the running rows
-        zs, ss, xs, lls, slopes = z, s, x, ll, slope
+        zs, ss, rs, lls, slopes = z, s, rows, ll, slope
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             z_try = zs + alpha * ss
-            ll_try, evaluated, theta_try = _probe(space, z_try, xs)
+            ll_try, evaluated, theta_try = _probe(space, z_try, x, rs)
             ev[at] += evaluated
             accept = ll_try >= lls + _ARMIJO * alpha * slopes
             z[at[accept]], theta[at[accept]] = z_try[accept], theta_try[accept]
@@ -286,13 +288,13 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
                 break
             if True in accept.tolist():
                 wait = ~accept
-                at, zs, ss, xs, lls, slopes = at[wait], zs[wait], ss[wait], xs[wait], lls[wait], slopes[wait]
+                at, zs, ss, rs, lls, slopes = at[wait], zs[wait], ss[wait], rs[wait], lls[wait], slopes[wait]
             alpha *= 0.5
         if at.size:  # these rows found no acceptable step
             go = np.ones(len(idx), dtype=bool)
             go[at] = False
             evals[idx[at]] = ev[at]
-            idx, ev, z, x, theta = idx[go], ev[go], z[go], x[go], theta[go]
+            idx, ev, z, rows, theta = idx[go], ev[go], z[go], rows[go], theta[go]
     evals[idx] = ev
     return theta_out, ll_out, h_out, steps, evals, done
 
@@ -411,7 +413,7 @@ def fit_mle_rows(
             rows.append(r)
     if rows:
         theta = np.array([[s.mu, s.sigma, s.delta, s.xi] for s in (starts[r] for r in rows)])
-        ok = np.isfinite(kernel(theta, _subset(x, rows), 0))
+        ok = np.isfinite(kernel(theta, x, 0, np.array(rows)))
         for r, good in zip(rows, ok.tolist()):
             if good:
                 feasible.append(r)
@@ -419,7 +421,7 @@ def fit_mle_rows(
                 out[r] = InfeasibleStartError(_INFEASIBLE)
     if feasible:
         z0 = np.array([_to_internal(starts[r]) for r in feasible])[:, space.free]
-        theta, ll, h, steps, evals, done = _newton(_subset(x, feasible), z0, space)
+        theta, ll, h, steps, evals, done = _newton(x, np.array(feasible), z0, space)
         fits = []  # (theta_hat, ll, h, converged, iterations, n_eval, stop) per feasible row
         for j, r in enumerate(feasible):
             if done[j]:

@@ -2,14 +2,19 @@
 
 One cell draws m replicate samples of size n at a known parameter vector,
 refits them from "truth plus uniform(0,1)" starts and aggregates empirical
-mean, bias and mean squared error per parameter.  The refits run as one
-``fit_mle_rows`` call: damped Newton on all m replicates in lockstep, with
-a replicate that Newton cannot finish handed on to the Nelder-Mead
-fallback alone.  Each replicate's fit is exactly the one ``fit_mle`` gives
-it alone, and a cell whose every replicate falls back is no special case.
-The scale parameter is held at its true value during the refits, mirroring
-the three-parameter (xi, mu, delta) study design the tables follow; the
-free parameters are exactly the columns of the report.
+mean, bias and mean squared error per parameter.  The scale parameter is
+held at its true value during the refits, mirroring the three-parameter
+(xi, mu, delta) study design the tables follow; the free parameters are
+exactly the columns of the report.
+
+A suite fits all the cells of one (n, sigma) together: their replicates
+are stacked and refitted by one ``fit_mle_rows`` call, damped Newton on
+every replicate in lockstep, with a replicate that Newton cannot finish
+handed on to the Nelder-Mead fallback alone.  Each replicate's fit is
+exactly the one ``fit_mle`` gives it alone, so the report of a cell is the
+same whichever cells share its fit, and ``run_cell`` is the one-cell case.
+Failures stay per cell: a cell whose draw fails or that loses more
+replicates than its budget errors alone.
 
 Seeding is splittable: replicate r of a cell with seed s uses the stream
 seeded by (s, r), so serial and parallel executions produce identical
@@ -19,16 +24,18 @@ output, byte for byte.
 from __future__ import annotations
 
 import configparser
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .distribution import sample
 from .likelihood import kernel
-from .mle import InfeasibleStartError, fit_mle_rows
+from .mle import InfeasibleStartError, _checked_space, fit_mle_rows
 from .params import BgevParams, ParameterError, csv_text
 
 __all__ = [
@@ -37,6 +44,7 @@ __all__ = [
     "SimReport",
     "SimCellError",
     "run_cell",
+    "run_cells",
     "run_suite",
     "load_suite_config",
     "reports_to_csv",
@@ -57,6 +65,7 @@ CSV_HEADER = ",".join(CSV_FIELDS)
 _DELTA_MARGIN = 1e-6
 _XI_MARGIN = 1e-6
 _MAX_FAILURE_RATE = 0.2  # share of a cell's replicates that may fail before it errors
+_BATCH_ELEMENTS = 2**20  # data elements (8 MB of float64) one shared fit stacks, unless one cell is larger
 
 
 class SimCellError(RuntimeError):
@@ -85,8 +94,10 @@ class SimConfig:
 class SimReport:
     """Aggregates of one cell.  drops counts the failed replicates by cause:
     "infeasible_start", "parameter_error" or "not_converged:<stop>" with
-    the fallback's stop.  Like wall_time it is a diagnostic: it takes no
-    part in comparisons and is written to no output file."""
+    the fallback's stop.  wall_time is the time the ``run_cells`` call the
+    cell ran in took to draw, start and fit all its cells, the same for
+    every cell of that call.  Both are diagnostics: they take no part in
+    comparisons and are written to no output file."""
 
     config: SimConfig
     mean: dict[str, float]
@@ -117,7 +128,7 @@ def _starts(truth: BgevParams, xs: np.ndarray, shifts: np.ndarray) -> list[BgevP
     for _ in range(40):
         cands = [_project_start(truth, shifts[r], lam) for r in todo]
         rows = np.array([[c.mu, c.sigma, c.delta, c.xi] for c in cands])
-        ok = np.isfinite(kernel(rows, xs if len(todo) == len(xs) else xs[todo], 0)).tolist()
+        ok = np.isfinite(kernel(rows, xs, 0, np.array(todo))).tolist()
         for r, c, good in zip(todo, cands, ok):
             if good:
                 starts[r] = c
@@ -128,28 +139,20 @@ def _starts(truth: BgevParams, xs: np.ndarray, shifts: np.ndarray) -> list[BgevP
     return starts
 
 
-def run_cell(cfg: SimConfig) -> SimReport:
-    """Run every replicate of one cell and aggregate the estimates.
-
-    All m samples and their starts are drawn first, each from its own
-    (seed, r) stream, and then fitted together by ``fit_mle_rows``.  Each
-    replicate is refitted with sigma pinned to its true value, from a start
-    whose free coordinates are the true values plus independent uniform(0,1)
-    draws, shrunk toward the truth until the replicate's data are inside
-    its support (the truth itself if no shrink gets there).  Non-convergent
-    or infeasible replicates are excluded from the moments and counted by
-    cause; more than a fifth of m of them raises SimCellError.
-    """
-    t0 = time.perf_counter()
-    truth = cfg.truth
-    xs = np.empty((cfg.m, cfg.n))
+def _draw(cfg: SimConfig, xs: np.ndarray) -> np.ndarray:
+    """Draw the cell's m samples into the rows of xs (m, n), replicate r
+    from the (seed, r) stream, and return each replicate's start shift."""
     shifts = np.empty((cfg.m, len(FREE_PARAMS)))
     for r in range(cfg.m):
         rng = np.random.default_rng([cfg.seed, r])
-        xs[r] = sample(cfg.n, truth, rng)
+        xs[r] = sample(cfg.n, cfg.truth, rng)
         shifts[r] = rng.random(len(FREE_PARAMS))
+    return shifts
 
-    fits = fit_mle_rows(xs, _starts(truth, xs, shifts), {"sigma": truth.sigma})
+
+def _report(cfg: SimConfig, fits: list, wall_time: float) -> SimReport:
+    """Aggregate one cell's fits, or raise SimCellError over its budget."""
+    truth = cfg.truth
     estimates: list[tuple[float, float, float]] = []
     drops: Counter[str] = Counter()
     for res in fits:
@@ -181,9 +184,111 @@ def run_cell(cfg: SimConfig) -> SimReport:
         mse=dict(zip(FREE_PARAMS, map(float, mse))),
         failures=failures,
         replicates_used=len(estimates),
-        wall_time=time.perf_counter() - t0,
+        wall_time=wall_time,
         drops=dict(drops),
     )
+
+
+def run_cells(cfgs: list[SimConfig]) -> list[SimReport | Exception]:
+    """Run cells that share n and the true sigma with one shared fit.
+
+    Every replicate of every cell is drawn from its own (seed, r) stream
+    into one stacked (sum of m, n) array, given its start, and all of them
+    are fitted by one ``fit_mle_rows`` call with sigma pinned; each fit is
+    bitwise the replicate fitted alone.  Entry i is cell i's report or the
+    exception that failed it: its draw or its data (the checks the shared
+    fit makes on every sample, made per cell), its failure budget
+    (SimCellError), or the shared fit itself, which fails every cell of the
+    call.  A report's wall_time is that of the whole call's draws, starts
+    and fit.
+    """
+    t0 = time.perf_counter()
+    n, sigma = cfgs[0].n, cfgs[0].truth.sigma
+    if any(c.n != n or c.truth.sigma != sigma for c in cfgs):
+        raise ValueError("cells fitted together must share n and sigma")
+    fixed = {"sigma": sigma}
+    bounds = np.cumsum([0, *(c.m for c in cfgs)]).tolist()
+    xs = np.empty((bounds[-1], n))
+    out: list = [None] * len(cfgs)
+    live, starts = [], []  # the cells that drew cleanly, and their starts
+    for i, cfg in enumerate(cfgs):
+        block = xs[bounds[i] : bounds[i + 1]]
+        try:
+            shifts = _draw(cfg, block)
+            _checked_space(block, fixed)
+            cell_starts = _starts(cfg.truth, block, shifts)
+        except Exception as exc:  # noqa: BLE001 - one cell's draw fails that cell alone
+            out[i] = exc
+            continue
+        live.append(i)
+        starts += cell_starts
+    if not live:
+        return out
+    if len(live) < len(cfgs):
+        xs = xs[np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in live])]
+    try:
+        fits = fit_mle_rows(xs, starts, fixed)
+    except Exception as exc:  # noqa: BLE001 - recorded against every cell of the call
+        for i in live:
+            out[i] = exc
+        return out
+    wall_time = time.perf_counter() - t0
+    at = 0
+    for i in live:
+        m = cfgs[i].m
+        try:
+            out[i] = _report(cfgs[i], fits[at : at + m], wall_time)
+        except SimCellError as exc:
+            out[i] = exc
+        at += m
+    return out
+
+
+def run_cell(cfg: SimConfig) -> SimReport:
+    """Run every replicate of one cell and aggregate the estimates.
+
+    All m samples and their starts are drawn first, each from its own
+    (seed, r) stream, and then fitted together by ``fit_mle_rows``.  Each
+    replicate is refitted with sigma pinned to its true value, from a start
+    whose free coordinates are the true values plus independent uniform(0,1)
+    draws, shrunk toward the truth until the replicate's data are inside
+    its support (the truth itself if no shrink gets there).  Non-convergent
+    or infeasible replicates are excluded from the moments and counted by
+    cause; more than a fifth of m of them raises SimCellError.  This is the
+    one-cell case of ``run_cells``.
+    """
+    (res,) = run_cells([cfg])
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _batches(cells: list[SimConfig], slices: int) -> list[list[int]]:
+    """The indices of the cells each ``run_cells`` call takes.
+
+    Cells are grouped by (n, sigma), each group is cut into at most slices
+    contiguous runs of near-equal length, and each run again wherever its
+    data would pass _BATCH_ELEMENTS; a cell larger than that is a batch of
+    its own."""
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, c in enumerate(cells):
+        groups.setdefault((c.n, c.truth.sigma), []).append(i)
+    batches: list[list[int]] = []
+    for group in groups.values():
+        k = min(slices, len(group))
+        cuts = [len(group) * j // k for j in range(k + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            batch: list[int] = []
+            size = 0
+            for i in group[lo:hi]:
+                elements = cells[i].m * cells[i].n
+                if batch and size + elements > _BATCH_ELEMENTS:
+                    batches.append(batch)
+                    batch, size = [], 0
+                batch.append(i)
+                size += elements
+            batches.append(batch)
+    return batches
 
 
 def run_suite(
@@ -193,32 +298,39 @@ def run_suite(
     workers and never more than there are cells, a pool of one being this
     process.
 
+    The cells of one (n, sigma) are fitted together by ``run_cells``, in
+    batches of at most _BATCH_ELEMENTS data elements; a pool of k workers
+    gets each group cut into at most k contiguous batches.  Every report
+    is that of the cell run alone.
+
     Returns (reports, errors): reports holds one entry per cell in input
     order, None where the cell errored; errors pairs each failed cell index
-    with its message.  Partial results are always preserved.
+    with its message, in index order.  Partial results are always
+    preserved.
     """
     if not cells:
         raise ValueError("no cells to run")
-    reports: list[SimReport | None] = [None] * len(cells)
-    errors: list[tuple[int, str]] = []
     workers = min(parallelism, len(cells))  # a pool starts all its workers at once
+    batches = _batches(cells, max(workers, 1))
+    tasks = [[cells[i] for i in batch] for batch in batches]
     if workers > 1:
         # imported here: the process pool costs every `import bgev` ~16 ms
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, c) for c in cells]
-            for i, fut in enumerate(futures):
-                try:
-                    reports[i] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - cell errors must not kill the suite
-                    errors.append((i, str(exc)))
+            runs = [pool.submit(run_cells, task).result for task in tasks]
     else:
-        for i, c in enumerate(cells):
-            try:
-                reports[i] = run_cell(c)
-            except Exception as exc:  # noqa: BLE001
-                errors.append((i, str(exc)))
+        runs = [partial(run_cells, task) for task in tasks]
+    outcomes: list = [None] * len(cells)
+    for batch, run in zip(batches, runs):
+        try:
+            results = run()
+        except Exception as exc:  # noqa: BLE001 - a batch's errors must not kill the suite
+            results = [exc] * len(batch)
+        for i, res in zip(batch, results):
+            outcomes[i] = res
+    reports: list[SimReport | None] = [None if isinstance(r, Exception) else r for r in outcomes]
+    errors = [(i, str(r)) for i, r in enumerate(outcomes) if isinstance(r, Exception)]
     return reports, errors
 
 
@@ -259,12 +371,28 @@ def reports_to_table(reports: list[SimReport | None]) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+# the keys of a suite section, their types, and the defaults of the keys
+# that take one value in a grid too
+_SUITE_KEYS = {"xi": float, "mu": float, "delta": float, "n": int, "sigma": float, "m": int, "seed": int}
+_SUITE_DEFAULTS = {"sigma": 1.0, "m": 100, "seed": 0}
 
 
-def _parse_ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.replace(",", " ").split()]
+def _values(where: str, raw: str, parse) -> list:
+    """The comma- or blank-separated values of one key, each a finite float
+    or an int by parse; where names the file, the section and the key."""
+    toks = raw.replace(",", " ").split()
+    if not toks:
+        raise ValueError(f"{where}: no value")
+    values = []
+    for tok in toks:
+        try:
+            value = parse(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: {tok!r} is not {'an integer' if parse is int else 'a finite number'}")
+        values.append(value)
+    return values
 
 
 def load_suite_config(path: str) -> list[SimConfig]:
@@ -275,11 +403,14 @@ def load_suite_config(path: str) -> list[SimConfig]:
     sigma (default 1), m (default 100) and seed (default 0) one value each,
     and cells are expanded in xi-outer, mu, delta, n-inner order with seeds
     seed, seed+1, ...  A ``[cell NAME]`` section is a one-point grid: the
-    same keys, one value each.  A section without xi, mu, delta or n
-    raises ValueError naming the file, the section and the keys; a file
-    configparser cannot read (a duplicate section or key, no section
-    header) raises ValueError naming the file.  Values take no ``%``
-    interpolation.
+    same keys, one value each.  A file configparser cannot read (a
+    duplicate section or key, no section header) raises ValueError naming
+    the file; any other fault raises ValueError (ParameterError for an
+    inadmissible truth) naming the file and the section, and the key where
+    there is one: an unknown section kind, a missing xi, mu, delta or n, an
+    empty value, a value that is not a finite number (an integer for n, m
+    and seed), several values where one is allowed, or a value SimConfig
+    or BgevParams rejects.  Values take no ``%`` interpolation.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -293,19 +424,24 @@ def load_suite_config(path: str) -> list[SimConfig]:
         sec = parser[section]
         kind = (section.split() or [""])[0].lower()
         if kind not in ("cell", "grid"):
-            raise ValueError(f"unknown section kind {section!r} (expected 'cell ...' or 'grid ...')")
+            raise ValueError(f"{path}: [{section}] unknown section kind {kind!r} (expected 'cell ...' or 'grid ...')")
         lacking = [key for key in ("xi", "mu", "delta", "n") if key not in sec]
         if lacking:
             raise ValueError(f"{path}: [{section}] has no {', '.join(lacking)}")
-        axes = (_parse_floats(sec["xi"]), _parse_floats(sec["mu"]), _parse_floats(sec["delta"]), _parse_ints(sec["n"]))
-        points = list(product(*axes))
-        if kind == "cell" and len(points) != 1:
-            raise ValueError(f"[{section}] must give one value per key")
-        sigma = sec.getfloat("sigma", 1.0)
-        m = sec.getint("m", 100)
-        seed = sec.getint("seed", 0)
-        for idx, (xi, mu, dl, n) in enumerate(points):
-            cells.append(SimConfig(truth=BgevParams(xi=xi, mu=mu, sigma=sigma, delta=dl), n=n, m=m, seed=seed + idx))
+        where = f"{path}: [{section}]"
+        vals = {key: _values(f"{where} {key}", sec[key], parse) for key, parse in _SUITE_KEYS.items() if key in sec}
+        for key, v in vals.items():
+            if len(v) > 1 and (kind == "cell" or key in _SUITE_DEFAULTS):
+                why = "a [cell] takes one value per key" if kind == "cell" else "takes one value"
+                raise ValueError(f"{where} {key}: {why}, got {sec[key]!r}")
+        sigma, m, seed = (vals.get(key, [default])[0] for key, default in _SUITE_DEFAULTS.items())
+        axes = (vals["xi"], vals["mu"], vals["delta"], vals["n"])
+        for idx, (xi, mu, dl, n) in enumerate(product(*axes)):
+            try:
+                truth = BgevParams(xi=xi, mu=mu, sigma=sigma, delta=dl)
+                cells.append(SimConfig(truth=truth, n=n, m=m, seed=seed + idx))
+            except ValueError as exc:
+                raise type(exc)(f"{where} {exc}") from exc
     if not cells:
         raise ValueError(f"no cells defined in {path}")
     return cells

@@ -243,6 +243,44 @@ def test_sim_malformed_config_exits_2(tmp_path, capsys, body, says, names_file):
     assert says in err and "Traceback" not in err
 
 
+CELL_KEYS = {"xi": "0.5", "mu": "0", "delta": "2", "n": "50", "m": "2", "seed": "1"}
+
+
+def section(header, **changes):
+    keys = {**CELL_KEYS, **changes}
+    return f"[{header}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+
+
+@pytest.mark.parametrize(
+    "body, says",
+    [
+        pytest.param(section("cell a", xi="abc"), "[cell a] xi: 'abc' is not a finite number", id="word-for-xi"),
+        pytest.param(section("cell a", mu="1e999"), "[cell a] mu: '1e999' is not a finite number", id="overflow"),
+        pytest.param(section("cell a", n="nan"), "[cell a] n: 'nan' is not an integer", id="nan-for-n"),
+        pytest.param(section("grid g", seed="2.5"), "[grid g] seed: '2.5' is not an integer", id="float-seed"),
+        pytest.param(
+            section("cell a", xi="0.5, 1"), "[cell a] xi: a [cell] takes one value per key, got '0.5, 1'", id="two-in-cell"
+        ),
+        pytest.param(section("grid g", m="8 9"), "[grid g] m: takes one value, got '8 9'", id="two-m-in-grid"),
+        pytest.param(section("grid g", delta=""), "[grid g] delta: no value", id="empty"),
+        pytest.param(
+            section("cell a") + section("other s1"),
+            "[other s1] unknown section kind 'other' (expected 'cell ...' or 'grid ...')",
+            id="unknown-kind",
+        ),
+        pytest.param(section("cell a", sigma="0"), "[cell a] sigma must be > 0, got 0.0", id="zero-sigma"),
+        pytest.param(section("grid g", xi="1, 0"), "[grid g] xi must be nonzero", id="zero-xi"),
+        pytest.param(section("cell a", n="4"), "[cell a] n must be >= 8", id="small-n"),
+    ],
+)
+def test_sim_bad_value_names_file_section_and_key(tmp_path, capsys, body, says):
+    cfg = tmp_path / "suite.ini"
+    cfg.write_text(body, encoding="utf-8")
+    rc, out, err = run_cli(["sim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")], capsys)
+    assert (rc, out, err) == (2, "", f"error: {cfg}: {says}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # a suite file: one to three sections of small cells (m <= 3, 8 <= n <= 60),
 # any of which may lose its header, repeat a name, take an unknown kind, or
 # have a key dropped, repeated or given a non-numeric, zero or negative value

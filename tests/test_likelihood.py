@@ -157,3 +157,20 @@ def test_hessian_negative_definite_at_clean_optimum():
     h = hessian(res.theta_hat, x)
     eig = np.linalg.eigvalsh(0.5 * (h + h.T))
     assert np.all(eig < 0)
+
+
+@pytest.mark.parametrize("chunk", [2048, 150, 40])
+def test_kernel_rows_gathers_the_subset(monkeypatch, chunk):
+    # theta's row i with x[rows[i]], bitwise the call on the copied subset,
+    # whether the rows fit one chunk or span several
+    import bgev.likelihood as lik
+
+    monkeypatch.setattr(lik, "_CHUNK", chunk)
+    truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
+    xs = np.array([sample(50, truth, seed=s) for s in range(9)])
+    rows = np.array([7, 2, 2, 5, 0, 8])
+    theta = np.array([[0.1 * i, 1.0 + 0.05 * i, 2.0 - 0.1 * i, 0.5] for i in range(len(rows))])
+    for order in (0, 1, 2):
+        gathered, copied = kernel(theta, xs, order, rows), kernel(theta, xs[rows], order)
+        for a, b in zip(*((gathered, copied) if order else ((gathered,), (copied,)))):
+            assert np.array_equal(a, b, equal_nan=True)

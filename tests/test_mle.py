@@ -277,9 +277,9 @@ def count_kernel_rows(monkeypatch) -> list[int]:
     rows = []
     real = mle.kernel
 
-    def counted(theta, x, order=2):
+    def counted(theta, x, order=2, at=None):
         rows.append(1 if isinstance(theta, BgevParams) else len(theta))
-        return real(theta, x, order)
+        return real(theta, x, order, at)
 
     monkeypatch.setattr(mle, "kernel", counted)
     return rows

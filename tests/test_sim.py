@@ -6,7 +6,7 @@ import pytest
 import bgev.sim as sim_mod
 from bgev import BgevParams, InfeasibleStartError, ParameterError, SimConfig, fit_mle, log_likelihood, run_cell, run_suite, sample
 from bgev.mle import fit_mle_rows
-from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table
+from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table, run_cells
 
 CELL = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=100, m=12, seed=5)
 
@@ -281,3 +281,120 @@ def test_drops_count_start_and_parameter_errors(monkeypatch):
     rep = run_cell(CELL)
     assert rep.failures == 2 and rep.replicates_used == CELL.m - 2
     assert rep.drops == {"infeasible_start": 1, "parameter_error": 1}
+
+
+# cells of two sample sizes and two sigmas with different m, and RUNAWAY
+# with its max_iter drop: run_suite fits them in three shared batches
+MIXED = [
+    RUNAWAY,
+    SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=2.0, delta=0.0), n=50, m=6, seed=3),
+    SimConfig(truth=BgevParams(xi=-0.25, mu=0.0, sigma=1.0, delta=2.0), n=80, m=5, seed=4),
+    SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=50, m=9, seed=7),
+    SimConfig(truth=BgevParams(xi=0.25, mu=1.0, sigma=2.0, delta=-0.5), n=80, m=4, seed=8),
+    SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=2.0, delta=2.0), n=50, m=7, seed=9),
+]
+
+
+@pytest.fixture(scope="module")
+def mixed_alone():
+    return [run_cell(c) for c in MIXED]
+
+
+def test_batches_group_by_size_and_sigma(monkeypatch):
+    assert sim_mod._batches(MIXED, 1) == [[0, 3], [1, 5], [2], [4]]
+    assert sim_mod._batches(MIXED, 2) == [[0], [3], [1], [5], [2], [4]]
+    seven = [replace(CELL, seed=s) for s in range(7)]
+    assert sim_mod._batches(seven, 3) == [[0, 1], [2, 3], [4, 5, 6]]
+    # the cap cuts a group into contiguous runs; a cell above it runs alone
+    monkeypatch.setattr(sim_mod, "_BATCH_ELEMENTS", 20 * 50)
+    assert sim_mod._batches(MIXED, 1) == [[0], [3], [1, 5], [2], [4]]
+
+
+def test_batched_suite_equals_cells_alone(mixed_alone):
+    reports, errors = run_suite(MIXED)
+    assert not errors
+    for rep, alone in zip(reports, mixed_alone):
+        assert rep == alone and rep.drops == alone.drops
+    assert reports[0].drops == {"not_converged:max_iter": 1}
+
+
+def test_batched_suite_bytes_serial_parallel_and_sliced(monkeypatch, mixed_alone):
+    expect = reports_to_csv(mixed_alone)
+    for parallelism in (1, 2):
+        reports, errors = run_suite(MIXED, parallelism=parallelism)
+        assert not errors and reports_to_csv(reports) == expect
+    monkeypatch.setattr(sim_mod, "_BATCH_ELEMENTS", 300)  # every group sliced
+    reports, errors = run_suite(MIXED)
+    assert not errors and reports_to_csv(reports) == expect
+    assert [r.drops for r in reports] == [r.drops for r in mixed_alone]
+
+
+def test_batch_wall_time_is_shared():
+    a, b = run_cells([MIXED[1], MIXED[5]])
+    assert a.wall_time == b.wall_time > 0.0
+    with pytest.raises(ValueError, match="share n and sigma"):
+        run_cells([MIXED[0], MIXED[1]])
+
+
+def real_sample_except(bad_truth, replacement):
+    def fake(n, truth, rng):
+        x = sample(n, truth, rng)
+        return replacement(x) if truth == bad_truth else x
+
+    return fake
+
+
+def raise_draw(x):
+    raise ArithmeticError("draw failed")
+
+
+def nan_draw(x):
+    x[3] = np.nan
+    return x
+
+
+@pytest.mark.parametrize(
+    "replacement, message",
+    [(raise_draw, "draw failed"), (nan_draw, "sample contains non-finite values")],
+    ids=["draw-raises", "non-finite-sample"],
+)
+def test_one_bad_draw_fails_its_cell_alone(monkeypatch, mixed_alone, replacement, message):
+    bad = MIXED[3].truth  # shares its batch with RUNAWAY
+    monkeypatch.setattr(sim_mod, "sample", real_sample_except(bad, replacement))
+    with pytest.raises(Exception, match=message):
+        run_cell(MIXED[3])
+    reports, errors = run_suite(MIXED)
+    assert errors == [(3, message)]
+    assert reports[3] is None
+    assert reports_to_csv(reports) == reports_to_csv([r for i, r in enumerate(mixed_alone) if i != 3])
+    assert reports[0].drops == mixed_alone[0].drops
+
+
+def test_failure_budget_is_per_cell_in_a_batch(monkeypatch, mixed_alone):
+    # the first five replicates of the shared fit are RUNAWAY's, its
+    # max_iter one among them: 5 of 20 is over the budget, while the cell
+    # batched after it keeps its bytes
+    def five_errors(x, starts, fixed=None):
+        fits = fit_mle_rows(x, starts, fixed)
+        if len(x) == RUNAWAY.m + MIXED[3].m:
+            fits[:5] = [InfeasibleStartError("forced")] * 5
+        return fits
+
+    monkeypatch.setattr(sim_mod, "fit_mle_rows", five_errors)
+    reports, errors = run_suite(MIXED)
+    assert [i for i, _ in errors] == [0]
+    assert errors[0][1].startswith("5/20 replicates failed (budget 20%) for cell truth=")
+    assert reports[1:] == mixed_alone[1:]
+
+
+def test_shared_fit_error_fails_every_cell_of_its_batch(monkeypatch, mixed_alone):
+    def broken_for_sigma_2(x, starts, fixed=None):
+        if fixed["sigma"] == 2.0:
+            raise ValueError("programming error")
+        return fit_mle_rows(x, starts, fixed)
+
+    monkeypatch.setattr(sim_mod, "fit_mle_rows", broken_for_sigma_2)
+    reports, errors = run_suite(MIXED)
+    # in cell-index order, though the n = 80 batch with cell 4 runs last
+    assert errors == [(1, "programming error"), (4, "programming error"), (5, "programming error")]
+    assert [r for i, r in enumerate(reports) if i not in (1, 4, 5)] == [mixed_alone[i] for i in (0, 2, 3)]

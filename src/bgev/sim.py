@@ -65,7 +65,12 @@ CSV_HEADER = ",".join(CSV_FIELDS)
 _DELTA_MARGIN = 1e-6
 _XI_MARGIN = 1e-6
 _MAX_FAILURE_RATE = 0.2  # share of a cell's replicates that may fail before it errors
-_BATCH_ELEMENTS = 2**20  # data elements (8 MB of float64) one shared fit stacks, unless one cell is larger
+# a batch's size in float64 values: each replicate holds its n data values
+# and about _REPLICATE_VALUES more (measured: 1.9 KB a replicate at n = 50)
+# in its fit's arrays and result objects; one shared fit takes at most
+# _BATCH_VALUES (2 MB), or one larger cell
+_BATCH_VALUES = 2**18
+_REPLICATE_VALUES = 256
 
 
 class SimCellError(RuntimeError):
@@ -268,7 +273,7 @@ def _batches(cells: list[SimConfig], slices: int) -> list[list[int]]:
 
     Cells are grouped by (n, sigma), each group is cut into at most slices
     contiguous runs of near-equal length, and each run again wherever its
-    data would pass _BATCH_ELEMENTS; a cell larger than that is a batch of
+    size would pass _BATCH_VALUES; a cell larger than that is a batch of
     its own."""
     groups: dict[tuple[int, float], list[int]] = {}
     for i, c in enumerate(cells):
@@ -281,12 +286,12 @@ def _batches(cells: list[SimConfig], slices: int) -> list[list[int]]:
             batch: list[int] = []
             size = 0
             for i in group[lo:hi]:
-                elements = cells[i].m * cells[i].n
-                if batch and size + elements > _BATCH_ELEMENTS:
+                values = cells[i].m * (cells[i].n + _REPLICATE_VALUES)
+                if batch and size + values > _BATCH_VALUES:
                     batches.append(batch)
                     batch, size = [], 0
                 batch.append(i)
-                size += elements
+                size += values
             batches.append(batch)
     return batches
 
@@ -299,9 +304,9 @@ def run_suite(
     process.
 
     The cells of one (n, sigma) are fitted together by ``run_cells``, in
-    batches of at most _BATCH_ELEMENTS data elements; a pool of k workers
-    gets each group cut into at most k contiguous batches.  Every report
-    is that of the cell run alone.
+    contiguous batches of at most _BATCH_VALUES values; a pool of k workers
+    gets each group cut into at most k of them.  Every report is that of
+    the cell run alone.
 
     Returns (reports, errors): reports holds one entry per cell in input
     order, None where the cell errored; errors pairs each failed cell index

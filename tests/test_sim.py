@@ -305,8 +305,10 @@ def test_batches_group_by_size_and_sigma(monkeypatch):
     assert sim_mod._batches(MIXED, 2) == [[0], [3], [1], [5], [2], [4]]
     seven = [replace(CELL, seed=s) for s in range(7)]
     assert sim_mod._batches(seven, 3) == [[0, 1], [2, 3], [4, 5, 6]]
-    # the cap cuts a group into contiguous runs; a cell above it runs alone
-    monkeypatch.setattr(sim_mod, "_BATCH_ELEMENTS", 20 * 50)
+    # the cap cuts a group into contiguous runs: counting each replicate as
+    # n + _REPLICATE_VALUES values, cells 0 and 3 hold 8874 together and
+    # cells 1 and 5 hold 3978
+    monkeypatch.setattr(sim_mod, "_BATCH_VALUES", 4000)
     assert sim_mod._batches(MIXED, 1) == [[0], [3], [1, 5], [2], [4]]
 
 
@@ -323,7 +325,7 @@ def test_batched_suite_bytes_serial_parallel_and_sliced(monkeypatch, mixed_alone
     for parallelism in (1, 2):
         reports, errors = run_suite(MIXED, parallelism=parallelism)
         assert not errors and reports_to_csv(reports) == expect
-    monkeypatch.setattr(sim_mod, "_BATCH_ELEMENTS", 300)  # every group sliced
+    monkeypatch.setattr(sim_mod, "_BATCH_VALUES", 300)  # every cell alone
     reports, errors = run_suite(MIXED)
     assert not errors and reports_to_csv(reports) == expect
     assert [r.drops for r in reports] == [r.drops for r in mixed_alone]

@@ -284,7 +284,7 @@ def test_drops_count_start_and_parameter_errors(monkeypatch):
 
 
 # cells of two sample sizes and two sigmas with different m, and RUNAWAY
-# with its max_iter drop: run_suite fits them in three shared batches
+# with its max_iter drop: run_suite fits them in four batches, two shared
 MIXED = [
     RUNAWAY,
     SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=2.0, delta=0.0), n=50, m=6, seed=3),

@@ -3,19 +3,20 @@
 The search runs in unconstrained coordinates (mu, log sigma, log(1+delta),
 xi) so the scale and bimodality constraints hold by construction; results
 are reported in natural coordinates.  It is a damped Newton ascent on the
-analytic score and Hessian of ``likelihood.kernel``; Nelder-Mead, restarted
-from the original start, takes over whenever a Newton step cannot be
-completed.  Individual parameters can be pinned to fixed values, which is
-how the scale is held at its true value in simulation studies and how the
-plain GEV arises as the delta = 0 submodel.  The stopping tolerances and the
-fallback's iteration cap are module constants.
+analytic score and Hessian of ``likelihood.kernel``.  A run that cannot be
+completed is retried once from the original start with every step bounded
+in length, the plainest trust region (Nocedal & Wright, *Numerical
+Optimization*, ch. 4).  A fit is converged only where Newton's own stop
+held, in either run.  Individual parameters can be pinned to fixed values,
+which is how the scale is held at its true value in simulation studies and
+how the plain GEV arises as the delta = 0 submodel.  The stopping
+tolerance, the step caps and the retry's step bound are module constants.
 
 There is one fit path, and its Newton runs many samples of one size in
 lockstep: ``fit_mle_rows`` fits all the replicates of the Monte Carlo cells
 of one sample size and scale at once, and ``fit_mle`` is its one-sample
-case.  Every damping, line-search
-and stop decision is made per row, so each row takes exactly the path it
-takes alone; a row Newton cannot finish goes on to Nelder-Mead alone.
+case.  Every damping, step bound, line-search and stop decision is made
+per row, so each row takes exactly the path it takes alone.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 
 from .distribution import sample
 from .likelihood import PARAM_ORDER, kernel, log_likelihood
-from .neldermead import nelder_mead
-from .params import BgevParams, ParameterError
+from .params import BgevParams
 
 __all__ = [
     "FitResult",
@@ -41,10 +41,10 @@ __all__ = [
 ]
 
 _XI_FLOOR = 1e-8  # |xi| below this is treated as infeasible (model needs xi != 0)
-_FTOL = 1e-8  # Newton stop on the predicted log-likelihood gain; also Nelder-Mead's ftol
-_XTOL = 1e-8  # Nelder-Mead simplex-size tolerance
-_MAX_ITER = 5000  # Nelder-Mead iteration cap
-_NEWTON_MAX_STEPS = 50  # a Newton run still going after this many steps hands over
+_FTOL = 1e-8  # Newton stop on the predicted log-likelihood gain
+_NEWTON_MAX_STEPS = 50  # a Newton run still going after this many steps is retried
+_RETRY_RADIUS = 0.1  # the retry's longest step in any free internal coordinate
+_RETRY_STEPS = 200  # a retry still going after this many steps has not converged
 _ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
 _MAX_HALVINGS = 40  # line-search step halvings before the step counts as failed
 _MAX_DAMPINGS = 20  # tenfold damping increases before the system counts as failed
@@ -64,10 +64,12 @@ class FitResult:
     square roots of the diagonal of the inverse of fim's block on the free
     parameters.  They are present only when that block is positive
     definite: its lowest eigenvalue (``eigvalsh``) is above 0, the test the
-    Newton damping uses.  stop says how the search
-    ended: "newton" for a Newton finish, otherwise the Nelder-Mead
-    fallback's "ftol", "xtol" or "max_iter"; iterations counts the steps of
-    that method and n_eval every likelihood evaluation the fit made.
+    Newton damping uses.  converged means that Newton's stop held at
+    theta_hat.  stop is "newton" for a finish of the first Newton run,
+    "bounded" for one of its step-bounded retry, and otherwise says why the
+    retry ended: "step_cap", or "no_ascent" (damping, line search or a
+    non-finite derivative).  iterations counts the steps of the run that
+    ended the search, n_eval every likelihood evaluation the fit made.
     """
 
     theta_hat: BgevParams
@@ -195,8 +197,8 @@ def _finite_rows(a: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(np.isfinite(a.reshape(len(a), math.prod(a.shape[1:]))), axis=1)
 
 
-def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None):
-    """Log-likelihood of each row of x, or of x[rows], at its free internal
+def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray):
+    """Log-likelihood of each sample x[rows] at its free internal
     coordinates z, -inf where z leaves the parameter space; the mask of
     rows that were evaluated; and the natural parameter rows."""
     theta, ok = space.natural(z)
@@ -204,23 +206,26 @@ def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray | None 
         return kernel(theta, x, 0, rows), ok, theta
     ll = np.full(len(z), -np.inf)
     if True in ok.tolist():
-        ll[ok] = kernel(theta[ok], x, 0, np.flatnonzero(ok) if rows is None else rows[ok])
+        ll[ok] = kernel(theta[ok], x, 0, rows[ok])
     return ll, ok, theta
 
 
-def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
+def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radius=np.inf, max_steps=_NEWTON_MAX_STEPS):
     """Damped Newton ascent of the samples x[rows] of the data x (M, n),
     each from its free internal start, a row of z (m, k), all in lockstep.
 
-    Each row takes exactly the path it takes alone: its damping, its
-    Armijo backtracking and its stop are decided on its own numbers.  A row
-    stops at the first iterate whose undamped Newton decrement g.s is below
-    2*_FTOL and is frozen there.  It fails when its parameters leave the
-    space, a derivative is non-finite, no damping makes its system positive
-    definite, its line search fails or the step cap is reached.  Returns
-    (theta, ll, h, steps, evals, done): the final parameter rows (m, 4),
-    log-likelihoods (m,) and Hessians (m, 4, 4) of the rows that stopped,
-    each row's step count and likelihood evaluations, and the mask of rows
+    Each row takes exactly the path it takes alone: its damping, its step
+    bound, its Armijo backtracking and its stop are decided on its own
+    numbers.  A row stops at the first iterate whose undamped Newton
+    decrement g.s is below 2*_FTOL and is frozen there.  Past that test, a
+    step longer than radius in some coordinate is scaled down to that
+    length.  A row fails when its parameters leave the space, a derivative
+    is non-finite, no damping makes its system positive definite, its line
+    search fails or it is still running after max_steps steps.  Returns
+    (theta, ll, h, steps, evals, done): each row's final parameter row
+    (m, 4), where it stopped or else its last accepted iterate; the
+    log-likelihoods (m,) and Hessians (m, 4, 4) of the rows that stopped;
+    each row's step count and likelihood evaluations; and the mask of rows
     that stopped rather than failed.
 
     The arrays of the rows still running are kept compact, and compacted
@@ -229,7 +234,6 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
     kernel gathers the running rows of x a chunk at a time.
     """
     m = len(z)
-    theta_out = np.full((m, 4), np.nan)
     ll_out = np.full(m, -np.inf)
     h_out = np.full((m, 4, 4), np.nan)
     steps = np.zeros(m, dtype=int)
@@ -241,17 +245,19 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
     # hands its natural coordinates on to the next iterate
     idx, ev = np.arange(m), np.zeros(m, dtype=int)
     theta, ok = space.natural(z)
+    theta_out = theta.copy()  # a row that leaves the space at once reports its start
     z = z.copy()
     if False in ok.tolist():
         idx, z, rows, theta = idx[ok], z[ok], rows[ok], theta[ok]
-    for step in range(_NEWTON_MAX_STEPS):
+    for step in range(max_steps):
         if not idx.size:
             break
         ev += 1
         ll, g, h = kernel(theta, x, 2, rows)
         ok = _finite_rows(g) & _finite_rows(h)
         if False in ok.tolist():
-            evals[idx[~ok]] = ev[~ok]
+            gone = idx[~ok]
+            theta_out[gone], steps[gone], evals[gone] = theta[~ok], step, ev[~ok]
             idx, ev, z, rows, theta, ll, g, h = idx[ok], ev[ok], z[ok], rows[ok], theta[ok], ll[ok], g[ok], h[ok]
             if not idx.size:
                 break
@@ -262,14 +268,20 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
         s, lam, failed = _ascent_steps(-h_z[:, block[0], block[1]], g_z)
         slope = _row_dots(g_z, s)
         stop = (lam == 0.0) & (slope < 2.0 * _FTOL)
+        if radius < np.inf:
+            norm = np.abs(s).max(axis=1)
+            long = norm > radius
+            if True in long.tolist():
+                s[long] *= (radius / norm[long])[:, None]
+                slope[long] = _row_dots(g_z[long], s[long])
         if failed.size or True in stop.tolist():
             ids = idx[stop]
-            theta_out[ids], ll_out[ids], h_out[ids] = theta[stop], ll[stop], h[stop]
-            steps[ids] = step
+            ll_out[ids], h_out[ids] = ll[stop], h[stop]
             done[ids] = True
             go = ~stop
             go[failed] = False
-            evals[idx[~go]] = ev[~go]
+            gone = idx[~go]
+            theta_out[gone], steps[gone], evals[gone] = theta[~go], step, ev[~go]
             idx, ev, z, rows, theta, ll, s, slope = idx[go], ev[go], z[go], rows[go], theta[go], ll[go], s[go], slope[go]
             if not idx.size:
                 break
@@ -293,9 +305,10 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
         if at.size:  # these rows found no acceptable step
             go = np.ones(len(idx), dtype=bool)
             go[at] = False
-            evals[idx[at]] = ev[at]
+            gone = idx[at]
+            theta_out[gone], steps[gone], evals[gone] = theta[at], step, ev[at]
             idx, ev, z, rows, theta = idx[go], ev[go], z[go], rows[go], theta[go]
-    evals[idx] = ev
+    theta_out[idx], steps[idx], evals[idx] = theta, max_steps, ev
     return theta_out, ll_out, h_out, steps, evals, done
 
 
@@ -334,6 +347,7 @@ def _checked_space(x: np.ndarray, fixed: dict[str, float] | None) -> _Space:
     unknown = set(fixed) - set(PARAM_ORDER)
     if unknown:
         raise ValueError(f"unknown fixed parameters: {sorted(unknown)}")
+    BgevParams(**{"xi": 1.0, "mu": 0.0, "sigma": 1.0, "delta": 0.0, **fixed})  # ParameterError on a bad value
     space = _Space(fixed)
     if not space.free:
         raise ValueError("all parameters fixed, nothing to optimize")
@@ -351,15 +365,16 @@ _INFEASIBLE = "starting parameters give zero likelihood (data outside their supp
 def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitResult:
     """Maximize the BGEV log-likelihood from the given start.
 
-    fixed pins parameters by name (any of PARAM_ORDER, not all four) to the
-    given values, which replace the start's; the rest are optimized.
+    fixed pins parameters by name (any of PARAM_ORDER, not all four) to
+    admissible values, which replace the start's; the rest are optimized.
     Damped Newton on the analytic score and Hessian runs first; when it
-    cannot finish, Nelder-Mead runs from the same start.  The start must be
+    cannot finish, it runs again from the start with no step longer than
+    _RETRY_RADIUS in any free internal coordinate.  The start must be
     feasible (finite log-likelihood) and the sample must hold at least 8
-    observations.  Non-convergence within the iteration cap is reported
-    through the converged flag, never raised; the best point seen is still
-    returned and its -2 log-likelihood never exceeds the start's.  This is
-    the one-sample case of ``fit_mle_rows``.
+    observations.  Non-convergence is reported through the converged flag,
+    never raised, with the retry's last iterate, whose -2 log-likelihood
+    never exceeds the start's.  This is the one-sample case of
+    ``fit_mle_rows``.
     """
     res = fit_mle_rows(np.asarray(x, dtype=float).ravel()[None], [start], fixed)[0]
     if isinstance(res, Exception):
@@ -367,80 +382,59 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
     return res
 
 
-def _nelder_mead(x: np.ndarray, z0: np.ndarray, space: _Space, start: BgevParams, n_eval: int):
-    """The fallback fit of one sample x (1, n) from its free internal start
-    z0 (k,): (theta_hat, ll, h, converged, iterations, n_eval, stop), with
-    n_eval counting on from the evaluations already made."""
-
-    def objective(z_free: np.ndarray) -> float:
-        nonlocal n_eval
-        ll, evaluated, _ = _probe(space, z_free[None], x)
-        n_eval += int(evaluated[0])
-        return -ll[0]
-
-    res = nelder_mead(objective, z0, ftol=_FTOL, xtol=_XTOL, max_iter=_MAX_ITER)
-    theta, ok = space.natural(res.x[None])
-    # an optimizer that never left the infeasible region reports the start itself
-    theta_hat = space.params(theta[0]) if ok[0] and np.isfinite(res.fun) else start
-    ll, _, h = kernel(theta_hat, x[0], 2)
-    return theta_hat, ll, h, res.converged, res.iterations, n_eval + 1, res.stop
-
-
 def fit_mle_rows(
     x, starts: list[BgevParams], fixed: dict[str, float] | None = None
-) -> list[FitResult | InfeasibleStartError | ParameterError]:
+) -> list[FitResult | InfeasibleStartError]:
     """The fit of ``fit_mle`` for every row of x (m, n), each from its own
-    start, with one Newton run for all rows in lockstep.
+    start, with one Newton run for all rows in lockstep and one bounded
+    retry for all the rows it could not finish.
 
     Entry r is the fit of row r from starts[r], or the InfeasibleStartError
-    or ParameterError its start raises; it is bitwise the fit of row r
-    alone.  A row the lockstep Newton cannot finish goes on to Nelder-Mead
-    from its start, its evaluation count carried over.  Errors shared by
-    all rows (too few observations, non-finite data, bad fixed names)
+    its start raises; it is bitwise the fit of row r alone.  A fit that did
+    not converge reports the retry's last iterate, with the log-likelihood
+    and Hessian of one more order-2 evaluation.  Errors shared by all rows
+    (too few observations, non-finite data, bad fixed names or values)
     raise.
     """
     x = np.asarray(x, dtype=float)
     space = _checked_space(x, fixed)
-    out: list = [None] * len(x)
-    starts = list(starts)
-    rows, feasible = [], []
-    for r, start in enumerate(starts):
-        try:
-            starts[r] = replace(start, **space.fixed)
-        except ParameterError as exc:
-            out[r] = exc
-        else:
-            rows.append(r)
-    if rows:
-        theta = np.array([[s.mu, s.sigma, s.delta, s.xi] for s in (starts[r] for r in rows)])
-        ok = np.isfinite(kernel(theta, x, 0, np.array(rows)))
-        for r, good in zip(rows, ok.tolist()):
-            if good:
-                feasible.append(r)
-            else:
-                out[r] = InfeasibleStartError(_INFEASIBLE)
-    if feasible:
-        z0 = np.array([_to_internal(starts[r]) for r in feasible])[:, space.free]
-        theta, ll, h, steps, evals, done = _newton(x, np.array(feasible), z0, space)
-        fits = []  # (theta_hat, ll, h, converged, iterations, n_eval, stop) per feasible row
-        for j, r in enumerate(feasible):
-            if done[j]:
-                fits.append((space.params(theta[j]), ll[j], h[j], True, steps[j], 1 + int(evals[j]), "newton"))
-            else:
-                fits.append(_nelder_mead(x[r : r + 1], z0[j], space, starts[r], 1 + int(evals[j])))
-        info = _information(np.array([f[2] for f in fits]), space)
-        for r, (theta_hat, ll_hat, _, converged, iterations, n_eval, stop), (fim, std) in zip(feasible, fits, info):
-            out[r] = FitResult(
-                theta_hat=theta_hat,
-                neg2loglik=-2.0 * float(ll_hat),
-                converged=converged,
-                iterations=int(iterations),
-                fim=fim,
-                std_errors=std,
-                start=starts[r],
-                n_eval=int(n_eval),
-                stop=stop,
-            )
+    starts = [replace(start, **space.fixed) for start in starts]
+    theta0 = np.array([[s.mu, s.sigma, s.delta, s.xi] for s in starts]).reshape(-1, 4)
+    feasible = np.isfinite(kernel(theta0, x, 0))
+    out: list = [None if ok else InfeasibleStartError(_INFEASIBLE) for ok in feasible.tolist()]
+    rows = np.flatnonzero(feasible)
+    if not rows.size:
+        return out
+    z0 = np.array([_to_internal(starts[r]) for r in rows.tolist()])[:, space.free]
+    theta, ll, h, steps, evals, done = _newton(x, rows, z0, space)
+    evals += 1  # the feasibility check
+    stops = ["newton" if ok else "" for ok in done.tolist()]
+    retry = np.flatnonzero(~done)
+    if retry.size:
+        theta[retry], ll[retry], h[retry], steps[retry], ev, done[retry] = _newton(
+            x, rows[retry], z0[retry], space, _RETRY_RADIUS, _RETRY_STEPS
+        )
+        evals[retry] += ev
+        lost = retry[~done[retry]]
+        if lost.size:  # the last iterates, evaluated once more
+            ll[lost], _, h[lost] = kernel(theta[lost], x, 2, rows[lost])
+            evals[lost] += 1
+        for i in retry.tolist():
+            stops[i] = "bounded" if done[i] else "step_cap" if steps[i] == _RETRY_STEPS else "no_ascent"
+    info = _information(h, space)
+    for j, r in enumerate(rows.tolist()):
+        fim, std = info[j]
+        out[r] = FitResult(
+            theta_hat=space.params(theta[j]),
+            neg2loglik=-2.0 * float(ll[j]),
+            converged=bool(done[j]),
+            iterations=int(steps[j]),
+            fim=fim,
+            std_errors=std,
+            start=starts[r],
+            n_eval=int(evals[j]),
+            stop=stops[j],
+        )
     return out
 
 

@@ -9,10 +9,11 @@ exactly the columns of the report.
 
 A suite fits all the cells of one (n, sigma) together: their replicates
 are stacked and refitted by one ``fit_mle_rows`` call, damped Newton on
-every replicate in lockstep, with a replicate that Newton cannot finish
-handed on to the Nelder-Mead fallback alone.  Each replicate's fit is
-exactly the one ``fit_mle`` gives it alone, so the report of a cell is the
-same whichever cells share its fit, and ``run_cell`` is the one-cell case.
+every replicate in lockstep, with the replicates that Newton cannot finish
+retried together with bounded steps.  A replicate whose fit did not reach
+Newton's stop in either run is dropped.  Each replicate's fit is exactly
+the one ``fit_mle`` gives it alone, so the report of a cell is the same
+whichever cells share its fit, and ``run_cell`` is the one-cell case.
 Failures stay per cell: a cell whose draw fails or that loses more
 replicates than its budget errors alone.
 
@@ -36,7 +37,7 @@ import numpy as np
 from .distribution import sample
 from .likelihood import kernel
 from .mle import InfeasibleStartError, _checked_space, fit_mle_rows
-from .params import BgevParams, ParameterError, csv_text
+from .params import BgevParams, csv_text
 
 __all__ = [
     "FREE_PARAMS",
@@ -98,8 +99,8 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimReport:
     """Aggregates of one cell.  drops counts the failed replicates by cause:
-    "infeasible_start", "parameter_error" or "not_converged:<stop>" with
-    the fallback's stop.  wall_time is the time the ``run_cells`` call the
+    "infeasible_start", or "not_converged:step_cap" and
+    "not_converged:no_ascent" by how the fit's bounded retry ended.  wall_time is the time the ``run_cells`` call the
     cell ran in took to draw, start and fit all its cells, the same for
     every cell of that call.  Both are diagnostics: they take no part in
     comparisons and are written to no output file."""
@@ -163,8 +164,6 @@ def _report(cfg: SimConfig, fits: list, wall_time: float) -> SimReport:
     for res in fits:
         if isinstance(res, InfeasibleStartError):
             drops["infeasible_start"] += 1
-        elif isinstance(res, ParameterError):
-            drops["parameter_error"] += 1
         elif not res.converged:
             drops[f"not_converged:{res.stop}"] += 1
         else:

@@ -7,11 +7,13 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgev.cli import main
+from bgev.pipeline import START_PRESETS
 from tests.conftest import child_env
 
 
@@ -318,16 +320,84 @@ def suite_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def run_in_process(argv) -> tuple[int, str, list]:
+    """main(argv) with stdout and stderr captured and every warning recorded."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, err.getvalue(), [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(suite_texts())
 def test_sim_fuzz_exits_with_a_code_never_a_traceback(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "suite.ini"
         cfg.write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            rc = main(["sim", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
+        rc, err, caught = run_in_process(["sim", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
     assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err
+    assert not caught
+
+
+def series_values(kind: str, n: int, scale: float, seed: int) -> list[float]:
+    """n readings of one kind: a constant, Cauchy draws (heavy-tailed), two
+    tight clusters far apart, or plain normal draws, at the given scale."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        v = np.full(n, scale)
+    elif kind == "heavy":
+        v = rng.standard_cauchy(n) * scale
+    elif kind == "clusters":
+        v = np.where(rng.random(n) < 0.5, -scale, scale) + rng.normal(0.0, 0.01 * abs(scale), n)
+    else:
+        v = rng.normal(0.0, abs(scale), n)
+    return v.tolist()
+
+
+@st.composite
+def series_files(draw) -> str:
+    kind = draw(st.sampled_from(["constant", "heavy", "clusters", "plain"]))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 600)))  # short series too
+    scale = draw(st.sampled_from([1.0, -2.5, 1e-6, 1e6]))
+    values = series_values(kind, n, scale, draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        return "t,value\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(values))
+    return "".join(f"{v!r}\n" for v in values)
+
+
+LAGS = st.sampled_from(["1", "3", "10"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    series_files(),
+    st.sampled_from(["1", "1", "2", "24"]),
+    st.sampled_from(["--standardize", "--no-standardize"]),
+    st.sampled_from(["auto", *START_PRESETS]),
+    LAGS,
+)
+def test_fit_fuzz_exits_with_a_code_never_a_traceback(text, block, standardize, preset, lags):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "series.csv"
+        data.write_text(text, encoding="utf-8")
+        argv = ["fit", "--input", str(data), "--block-size", block, standardize, "--start-preset", preset]
+        rc, err, caught = run_in_process([*argv, "--ljung-box-lags", lags, "--out-dir", str(Path(tmp) / "out")])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert not caught
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(series_files(), st.sampled_from([["0.5", "0", "2"], ["-0.25", "-0.36", "2"], ["1", "-1", "0"], ["0.25", "1", "-0.5"]]), LAGS)
+def test_gof_fuzz_exits_with_a_code_never_a_traceback(text, law, lags):
+    xi, mu, delta = law
+    argv = ["gof", "--xi", xi, "--mu", mu, "--sigma", "1", "--delta", delta, "--ljung-box-lags", lags]
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "series.csv"
+        data.write_text(text, encoding="utf-8")
+        rc, err, caught = run_in_process([*argv, "--input", str(data)])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    assert not caught

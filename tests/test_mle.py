@@ -221,16 +221,15 @@ admissible_truths = st.builds(
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(admissible_truths, st.sampled_from([50, 250]), st.integers(0, 2**16))
 def test_newton_optimum_within_tolerance_of_nelder_mead(truth, n, seed):
-    # where Newton finishes and Nelder-Mead converges, the Newton stop
-    # g.s < 2*ftol leaves fit_mle no lower in log-likelihood than
-    # Nelder-Mead from the same start, or within 1e-7 of it.  A fit that
-    # fell back to Nelder-Mead is left out: its xtol stop certifies no
-    # optimum, and at truth (-1, 1, -0.9), n = 50, seed 1 it stops 0.038
-    # short of the refit
+    # where a fit converges, by the first Newton run or by the bounded
+    # retry, and Nelder-Mead converges, the Newton stop g.s < 2*ftol leaves
+    # fit_mle no lower in log-likelihood than Nelder-Mead from the same
+    # start, or within 1e-7 of it
     x, start = study_replicate(truth, n, seed=seed, r=0)
     res = fit_mle(x, start, SIGMA_FIXED)
     nm, nm_converged = nelder_mead_neg2loglik(x, start)
-    if res.stop == "newton" and nm_converged:
+    assert res.stop in ("newton", "bounded") if res.converged else res.stop in ("step_cap", "no_ascent")
+    if res.converged and nm_converged:
         assert -0.5 * res.neg2loglik >= -0.5 * nm - 1e-7
 
 
@@ -248,28 +247,60 @@ def test_newton_finish_diagnostics():
 def test_fallback_when_likelihood_runs_off():
     # this replicate of the mc_study cell (0.25, 1, -0.5), n = 50 has no
     # interior maximum with sigma pinned: the likelihood keeps rising toward
-    # xi ~ 6.9, so Newton hands over and Nelder-Mead stops at its cap
+    # xi ~ 6.9, so Newton fails and the bounded retry is still climbing at
+    # its step cap
     truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
     x, start = study_replicate(truth, 50, seed=34009, r=2)
     res = fit_mle(x, start, SIGMA_FIXED)
-    assert not res.converged and res.stop == "max_iter"
-    assert res.iterations == mle._MAX_ITER
-    assert res.n_eval > mle._MAX_ITER
+    assert not res.converged and res.stop == "step_cap"
+    assert res.iterations == mle._RETRY_STEPS
+    assert res.n_eval > mle._NEWTON_MAX_STEPS + mle._RETRY_STEPS
     assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
-    # every count and the optimum, pinned
-    assert (res.iterations, res.n_eval, res.neg2loglik) == (5000, 8720, 245.67773171918907)
+    # every count and the last iterate, pinned
+    assert (res.iterations, res.n_eval, res.neg2loglik) == (200, 513, 249.09736608008473)
 
 
 def test_every_row_falls_back():
-    # no row of the lockstep Newton finishes: each goes on to Nelder-Mead
+    # no row of the lockstep Newton finishes: all are retried together, each
     # with its own evaluation count, and a one-replicate sim cell of such a
     # row fails its budget rather than the run
     truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
     x, start = study_replicate(truth, 50, seed=34009, r=2)
     for res in mle.fit_mle_rows(np.array([x, x]), [start, start], SIGMA_FIXED):
-        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("max_iter", 5000, 8720, 245.67773171918907)
+        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("step_cap", 200, 513, 249.09736608008473)
     with pytest.raises(SimCellError, match="1/1 replicates failed"):
         run_cell(SimConfig(truth=truth, n=50, m=1, seed=10))
+
+
+def test_bounded_retry_finds_the_maximum_nelder_mead_finds():
+    # Newton from this replicate's start runs off toward xi < -1; the
+    # bounded retry stays near the start and stops on Newton's test at the
+    # local maximum Nelder-Mead reaches, no lower in log-likelihood
+    truth = BgevParams(xi=-0.25, mu=0.0, sigma=1.0, delta=2.0)
+    x, start = study_replicate(truth, 50, seed=62006, r=4)
+    res = fit_mle(x, start, SIGMA_FIXED)
+    assert res.converged and res.stop == "bounded"
+    assert res.neg2loglik <= nelder_mead_neg2loglik(x, start)[0] + 1e-6
+    # the certificate holds at the reported point: Newton stops there at once
+    again = fit_mle(x, res.theta_hat, SIGMA_FIXED)
+    assert (again.stop, again.iterations) == ("newton", 0)
+
+
+@pytest.mark.parametrize(
+    "truth_vec, seed, r",
+    [((0.25, 1.0, -0.5), 186009, 6), ((-1.0, 1.0, -0.9), 1, 0)],
+    ids=["ridge", "unbounded"],
+)
+def test_no_convergence_without_newtons_stop(truth_vec, seed, r):
+    # Nelder-Mead calls both of these converged: the first by ftol on a
+    # ridge at xi ~ 7 with max|score| ~ 6e3, the second by xtol beyond
+    # xi = -1, where the likelihood is unbounded.  Neither end is
+    # stationary, and neither fit reaches Newton's stop
+    xi, mu, delta = truth_vec
+    x, start = study_replicate(BgevParams(xi=xi, mu=mu, sigma=1.0, delta=delta), 50, seed=seed, r=r)
+    res = fit_mle(x, start, SIGMA_FIXED)
+    assert res.converged is False and res.stop in ("step_cap", "no_ascent")
+    assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
 
 
 def count_kernel_rows(monkeypatch) -> list[int]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bgev.sim as sim_mod
-from bgev import BgevParams, InfeasibleStartError, ParameterError, SimConfig, fit_mle, log_likelihood, run_cell, run_suite, sample
+from bgev import BgevParams, InfeasibleStartError, SimConfig, fit_mle, log_likelihood, run_cell, run_suite, sample
 from bgev.mle import fit_mle_rows
 from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table, run_cells
 
@@ -214,7 +214,7 @@ def test_cell_is_a_one_point_grid(tmp_path):
 
 
 # the mc_study cell whose replicate r = 2 has no interior maximum with sigma
-# pinned: Newton hands over and Nelder-Mead stops at its iteration cap
+# pinned: Newton fails and its bounded retry stops at its step cap
 RUNAWAY = SimConfig(truth=BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5), n=50, m=20, seed=34009)
 STUDY = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=250, m=20, seed=1)
 
@@ -263,28 +263,28 @@ def test_lockstep_cell_equals_per_replicate_fits(cfg):
 
 def test_drops_name_the_cause_and_stay_out_of_outputs():
     rep = run_cell(RUNAWAY)
-    assert rep.failures == 1 and rep.drops == {"not_converged:max_iter": 1}
+    assert rep.failures == 1 and rep.drops == {"not_converged:step_cap": 1}
     clean = run_cell(STUDY)
     assert clean.failures == 0 and clean.drops == {}
     # a diagnostic like wall_time: no part of equality or of the output files
     assert rep == replace(rep, drops={}, wall_time=0.0)
-    assert "max_iter" not in reports_to_csv([rep]) + reports_to_table([rep])
+    assert "step_cap" not in reports_to_csv([rep]) + reports_to_table([rep])
 
 
-def test_drops_count_start_and_parameter_errors(monkeypatch):
+def test_drops_count_infeasible_starts(monkeypatch):
     def two_errors(x, starts, fixed=None):
         fits = fit_mle_rows(x, starts, fixed)
-        fits[0], fits[5] = InfeasibleStartError("forced"), ParameterError("forced")
+        fits[0] = fits[5] = InfeasibleStartError("forced")
         return fits
 
     monkeypatch.setattr(sim_mod, "fit_mle_rows", two_errors)
     rep = run_cell(CELL)
     assert rep.failures == 2 and rep.replicates_used == CELL.m - 2
-    assert rep.drops == {"infeasible_start": 1, "parameter_error": 1}
+    assert rep.drops == {"infeasible_start": 2}
 
 
 # cells of two sample sizes and two sigmas with different m, and RUNAWAY
-# with its max_iter drop: run_suite fits them in four batches, two shared
+# with its step_cap drop: run_suite fits them in four batches, two shared
 MIXED = [
     RUNAWAY,
     SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=2.0, delta=0.0), n=50, m=6, seed=3),
@@ -317,7 +317,7 @@ def test_batched_suite_equals_cells_alone(mixed_alone):
     assert not errors
     for rep, alone in zip(reports, mixed_alone):
         assert rep == alone and rep.drops == alone.drops
-    assert reports[0].drops == {"not_converged:max_iter": 1}
+    assert reports[0].drops == {"not_converged:step_cap": 1}
 
 
 def test_batched_suite_bytes_serial_parallel_and_sliced(monkeypatch, mixed_alone):
@@ -374,7 +374,7 @@ def test_one_bad_draw_fails_its_cell_alone(monkeypatch, mixed_alone, replacement
 
 def test_failure_budget_is_per_cell_in_a_batch(monkeypatch, mixed_alone):
     # the first five replicates of the shared fit are RUNAWAY's, its
-    # max_iter one among them: 5 of 20 is over the budget, while the cell
+    # step_cap one among them: 5 of 20 is over the budget, while the cell
     # batched after it keeps its bytes
     def five_errors(x, starts, fixed=None):
         fits = fit_mle_rows(x, starts, fixed)

@@ -100,9 +100,10 @@ class SimConfig:
 class SimReport:
     """Aggregates of one cell.  drops counts the failed replicates by cause:
     "infeasible_start", or "not_converged:step_cap" and
-    "not_converged:no_ascent" by how the fit's bounded retry ended.  wall_time is the time the ``run_cells`` call the
-    cell ran in took to draw, start and fit all its cells, the same for
-    every cell of that call.  Both are diagnostics: they take no part in
+    "not_converged:no_ascent" by how the fit's bounded retry ended.
+    wall_time is the time the ``run_cells`` call the cell ran in took to
+    draw, start and fit all its cells, the same for every cell of that
+    call.  Both are diagnostics: they take no part in
     comparisons and are written to no output file."""
 
     config: SimConfig

@@ -320,13 +320,16 @@ def suite_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_in_process(argv) -> tuple[int, str, list]:
-    """main(argv) with stdout and stderr captured and every warning recorded."""
+def assert_exits_cleanly(argv):
+    """main(argv), run in-process, returns an exit code of the contract,
+    with no traceback on stderr and no RuntimeWarning."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")
         rc = main(argv)
-    return rc, err.getvalue(), [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -335,10 +338,7 @@ def test_sim_fuzz_exits_with_a_code_never_a_traceback(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "suite.ini"
         cfg.write_text(text, encoding="utf-8")
-        rc, err, caught = run_in_process(["sim", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
-    assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err
-    assert not caught
+        assert_exits_cleanly(["sim", "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")])
 
 
 def series_values(kind: str, n: int, scale: float, seed: int) -> list[float]:
@@ -383,10 +383,7 @@ def test_fit_fuzz_exits_with_a_code_never_a_traceback(text, block, standardize, 
         data = Path(tmp) / "series.csv"
         data.write_text(text, encoding="utf-8")
         argv = ["fit", "--input", str(data), "--block-size", block, standardize, "--start-preset", preset]
-        rc, err, caught = run_in_process([*argv, "--ljung-box-lags", lags, "--out-dir", str(Path(tmp) / "out")])
-    assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err
-    assert not caught
+        assert_exits_cleanly([*argv, "--ljung-box-lags", lags, "--out-dir", str(Path(tmp) / "out")])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -397,7 +394,4 @@ def test_gof_fuzz_exits_with_a_code_never_a_traceback(text, law, lags):
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "series.csv"
         data.write_text(text, encoding="utf-8")
-        rc, err, caught = run_in_process([*argv, "--input", str(data)])
-    assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err
-    assert not caught
+        assert_exits_cleanly([*argv, "--input", str(data)])

@@ -349,10 +349,13 @@ def test_fixed_parameters_respected():
     ],
 )
 def test_fixed_parameters_rejected(fixed, error):
+    # every row shares fixed, so a bad name or value raises for the whole call
     truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0)
     x = sample(50, truth, seed=31)
     with pytest.raises(error):
         fit_mle(x, truth, fixed)
+    with pytest.raises(error):
+        mle.fit_mle_rows(np.array([x, x]), [truth, truth], fixed)
 
 
 def test_infeasible_start_raises():

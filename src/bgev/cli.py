@@ -25,6 +25,7 @@ from .params import BgevParams, ParameterError, csv_text, write_text
 from .pipeline import (
     START_PRESETS,
     InputDataError,
+    NotConvergedError,
     block_maxima,
     comparison_to_csv,
     comparison_to_text,
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
     except (InputDataError, FileNotFoundError, KeyError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except InfeasibleStartError as exc:
+    except (InfeasibleStartError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

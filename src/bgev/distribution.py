@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 _CRITICAL_GRID = 1024  # bracketing grid size of critical_points
+# the range ``sample`` clips its uniform variates to, away from 0 so that
+# the quantile map stays finite
+_UNIFORM_RANGE = (1e-300, 1.0 - 1e-16)
 
 
 def support(p: BgevParams) -> Support:
@@ -120,7 +123,7 @@ def sample(n: int, p: BgevParams, seed) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = np.clip(rng.random(n), 1e-300, 1.0 - 1e-16)
+    u = np.clip(rng.random(n), *_UNIFORM_RANGE)
     return np.asarray(quantile(u, p))
 
 

@@ -32,7 +32,8 @@ __all__ = ["PARAM_ORDER", "kernel", "log_likelihood", "score", "hessian"]
 PARAM_ORDER = ("mu", "sigma", "delta", "xi")
 
 # elements of data per batched pass: max(1, _CHUNK // n) samples go
-# through the kernel together, which bounds its temporaries at any m
+# through the per-observation pass together, which bounds its temporaries
+# at any m; ll, g and H are then assembled once from all the row sums
 _CHUNK = 4096
 
 
@@ -78,73 +79,85 @@ def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray):
     return L, w, t, d, psi, u, a
 
 
-def _rows(theta: np.ndarray, x: np.ndarray, order: int):
-    """The batched kernel on one chunk: theta (m, 4), x (m, n).
+def _sums(theta: np.ndarray, x: np.ndarray, order: int):
+    """The row sums of the batched kernel on one chunk: theta (m, 4), x (m, n).
 
-    Every step is elementwise over rows, a reduction along a row or a
-    product of one row's matrices, so no value of a row depends on the
-    rows batched with it: a batched row is bitwise the row alone.
+    Returns the sums s of the per-observation terms, and by order the
+    products of P (d psi / d theta per observation) that ``_assemble``
+    needs: P @ f_psi, then (P * f_psipsi) @ P.T and P @ f_psixi.  Each is a
+    reduction along a row or a product of one row's matrices.  Call under
+    ``np.errstate(all="ignore")``.
     """
     m, n = x.shape
-    sg, dl, xi = theta[:, 1], theta[:, 2], theta[:, 3]
     # terms whose row sums are needed share one buffer, so that one
     # reduction gives them all: L, u, a; f_xi, f_psi; f_xixi, and f_psi
     # times psi's second derivatives w, w*L, t*L and t*L**2 (the second
     # and fourth without their factor xi)
     q = np.empty((m, (3, 5, 10)[order], n))
-    with np.errstate(all="ignore"):
-        L, w, t, d, psi, u, a = log_density_terms(theta, x, q)
-        if order:
-            v = theta[:, 3:]  # xi, broadcast along the rows of x
-            v2 = v * v
-            tl = t * L
-            p = np.empty((m, 4, n))  # d psi / d theta per observation
-            p[:, 0] = -v
-            np.multiply(v, w, out=p[:, 1])
-            np.multiply(v, tl, out=p[:, 2])
-            p[:, 3] = d
-            one_a = 1.0 - a
-            np.divide(u * one_a, v2, out=q[:, 3])  # f_xi
-            v_psi = v * psi
-            f_psi = np.divide(a - 1.0 - v, v_psi, out=q[:, 4])
-        if order == 2:
-            b = one_a + u * a / v  # shared by f_xixi and f_psixi
-            np.divide(u * (one_a + b), -(v2 * v), out=q[:, 5])  # f_xixi
-            np.multiply(f_psi, w, out=q[:, 6])
-            np.multiply(q[:, 6], L, out=q[:, 7])
-            np.multiply(f_psi, tl, out=q[:, 8])
-            np.multiply(q[:, 8], L, out=q[:, 9])
-        s = q.sum(axis=2)
-        ll = n * np.log(sg) + n * np.log1p(dl) + dl * s[:, 0] - (1.0 + 1.0 / xi) * s[:, 1] - s[:, 2]
-        # psi <= 0 or NaN anywhere (an observation at the origin with
-        # delta != 0 included), and psi = inf, leave ll non-finite
-        bad = ~np.isfinite(ll)
-        ll[bad] = -np.inf
-        if order == 0:
-            return ll
-        g = np.matmul(p, f_psi[:, :, None])[:, :, 0]
-        g[:, 1] += n / sg
-        g[:, 2] += n / (1.0 + dl) + s[:, 0]
-        g[:, 3] += s[:, 3]
-        g[bad] = np.nan
-        if order == 1:
-            return ll, g
-        f_psipsi = (1.0 + v) * (v - a) / v_psi**2
-        c = np.matmul(p * f_psipsi[:, None, :], p.transpose(0, 2, 1))
-        # one triangle, added with its transpose so that H is exactly
-        # symmetric: the explicit xi dependence of f in row 3 (so twice on
-        # the diagonal) and the off-diagonal second derivatives of psi
-        tri = np.zeros((m, 4, 4))
-        tri[:, 3] = np.matmul(p, (b / (v2 * psi))[:, :, None])[:, :, 0]  # f_psixi
-        tri[:, 3, 0] -= s[:, 4]
-        tri[:, 3, 1] += s[:, 6]
-        tri[:, 3, 2] += s[:, 8]
-        tri[:, 2, 1] = xi * s[:, 7]
-        h = 0.5 * (c + c.transpose(0, 2, 1)) + (tri + tri.transpose(0, 2, 1))
-        h[:, 1, 1] -= n / sg**2
-        h[:, 2, 2] += xi * s[:, 9] - n / (1.0 + dl) ** 2
-        h[:, 3, 3] += s[:, 5]
-        h[bad] = np.nan
+    L, w, t, d, psi, u, a = log_density_terms(theta, x, q)
+    if order == 0:
+        return (q.sum(axis=2),)
+    v = theta[:, 3:]  # xi, broadcast along the rows of x
+    v2 = v * v
+    tl = t * L
+    p = np.empty((m, 4, n))  # d psi / d theta per observation
+    p[:, 0] = -v
+    np.multiply(v, w, out=p[:, 1])
+    np.multiply(v, tl, out=p[:, 2])
+    p[:, 3] = d
+    one_a = 1.0 - a
+    np.divide(u * one_a, v2, out=q[:, 3])  # f_xi
+    v_psi = v * psi
+    f_psi = np.divide(a - 1.0 - v, v_psi, out=q[:, 4])
+    if order == 2:
+        b = one_a + u * a / v  # shared by f_xixi and f_psixi
+        np.divide(u * (one_a + b), -(v2 * v), out=q[:, 5])  # f_xixi
+        np.multiply(f_psi, w, out=q[:, 6])
+        np.multiply(q[:, 6], L, out=q[:, 7])
+        np.multiply(f_psi, tl, out=q[:, 8])
+        np.multiply(q[:, 8], L, out=q[:, 9])
+    s = q.sum(axis=2)
+    pf = np.matmul(p, f_psi[:, :, None])[:, :, 0]
+    if order == 1:
+        return s, pf
+    f_psipsi = (1.0 + v) * (v - a) / v_psi**2
+    c = np.matmul(p * f_psipsi[:, None, :], p.transpose(0, 2, 1))
+    return s, pf, c, np.matmul(p, (b / (v2 * psi))[:, :, None])[:, :, 0]  # P @ f_psixi
+
+
+def _assemble(theta: np.ndarray, n: int, s: np.ndarray, pf=None, c=None, pfx=None):
+    """ll of every row of a call from its row sums s, and g and H as well
+    when the products of ``_sums`` are given.  Every step is elementwise
+    over rows.  Call under ``np.errstate(all="ignore")``."""
+    sg, dl, xi = theta[:, 1], theta[:, 2], theta[:, 3]
+    ll = n * np.log(sg) + n * np.log1p(dl) + dl * s[:, 0] - (1.0 + 1.0 / xi) * s[:, 1] - s[:, 2]
+    # psi <= 0 or NaN anywhere (an observation at the origin with delta !=
+    # 0 included), and psi = inf, leave ll non-finite
+    bad = ~np.isfinite(ll)
+    ll[bad] = -np.inf
+    if pf is None:
+        return ll
+    g = pf
+    g[:, 1] += n / sg
+    g[:, 2] += n / (1.0 + dl) + s[:, 0]
+    g[:, 3] += s[:, 3]
+    g[bad] = np.nan
+    if c is None:
+        return ll, g
+    # one triangle, added with its transpose so that H is exactly
+    # symmetric: the explicit xi dependence of f in row 3 (so twice on the
+    # diagonal) and the off-diagonal second derivatives of psi
+    tri = np.zeros((len(theta), 4, 4))
+    tri[:, 3] = pfx
+    tri[:, 3, 0] -= s[:, 4]
+    tri[:, 3, 1] += s[:, 6]
+    tri[:, 3, 2] += s[:, 8]
+    tri[:, 2, 1] = xi * s[:, 7]
+    h = 0.5 * (c + c.transpose(0, 2, 1)) + (tri + tri.transpose(0, 2, 1))
+    h[:, 1, 1] -= n / sg**2
+    h[:, 2, 2] += xi * s[:, 9] - n / (1.0 + dl) ** 2
+    h[:, 3, 3] += s[:, 5]
+    h[bad] = np.nan
     return ll, g, h
 
 
@@ -169,22 +182,27 @@ def kernel(theta, x, order: int = 2, rows=None):
     rows are gathered one chunk at a time, so the subset of x is never
     copied whole.
     """
-    if isinstance(theta, BgevParams):
-        row = np.array([[theta.mu, theta.sigma, theta.delta, theta.xi]])
-        out = _rows(row, np.asarray(x, dtype=float).ravel()[None], order)
-        if order == 0:
-            return float(out[0])
-        return (float(out[0][0]), *(v[0] for v in out[1:]))
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    per = max(1, _CHUNK // x.shape[1])
+    alone = isinstance(theta, BgevParams)
+    if alone:
+        theta = np.array([[theta.mu, theta.sigma, theta.delta, theta.xi]])
+        x = np.asarray(x, dtype=float).ravel()[None]
+    else:
+        theta = np.asarray(theta, dtype=float)
+        x = np.asarray(x, dtype=float)
+    per = max(1, _CHUNK // max(1, x.shape[1]))  # an empty sample is one chunk
     chunk = (lambda i: x[i : i + per]) if rows is None else (lambda i: x[rows[i : i + per]])
-    if len(theta) <= per:
-        return _rows(theta, chunk(0), order)
-    parts = [_rows(theta[i : i + per], chunk(i), order) for i in range(0, len(theta), per)]
+    with np.errstate(all="ignore"):
+        if len(theta) <= per:
+            sums = _sums(theta, chunk(0), order)
+        else:
+            parts = [_sums(theta[i : i + per], chunk(i), order) for i in range(0, len(theta), per)]
+            sums = [np.concatenate(v) for v in zip(*parts)]
+        out = _assemble(theta, x.shape[1], *sums)
+    if not alone:
+        return out
     if order == 0:
-        return np.concatenate(parts)
-    return tuple(np.concatenate(v) for v in zip(*parts))
+        return float(out[0])
+    return (float(out[0][0]), *(v[0] for v in out[1:]))
 
 
 def log_likelihood(theta: BgevParams, x) -> float:

@@ -69,7 +69,10 @@ class FitResult:
     "bounded" for one of its step-bounded retry, and otherwise says why the
     retry ended: "step_cap", or "no_ascent" (damping, line search or a
     non-finite derivative).  iterations counts the steps of the run that
-    ended the search, n_eval every likelihood evaluation the fit made.
+    ended the search, n_eval every likelihood evaluation the fit made: the
+    feasibility check, each line-search probe that stayed in the parameter
+    space and each iterate that no probe evaluated, as an accepted full
+    Newton step evaluates its iterate.
     """
 
     theta_hat: BgevParams
@@ -197,17 +200,21 @@ def _finite_rows(a: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(np.isfinite(a.reshape(len(a), math.prod(a.shape[1:]))), axis=1)
 
 
-def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray):
-    """Log-likelihood of each sample x[rows] at its free internal
-    coordinates z, -inf where z leaves the parameter space; the mask of
-    rows that were evaluated; and the natural parameter rows."""
+def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray, order: int):
+    """The kernel at order 0, (ll,), or at order 2, (ll, g, H), of each
+    sample x[rows] at its free internal coordinates z, with -inf and nan
+    where z leaves the parameter space; the mask of rows that were
+    evaluated; and the natural parameter rows."""
     theta, ok = space.natural(z)
     if False not in ok.tolist():
-        return kernel(theta, x, 0, rows), ok, theta
-    ll = np.full(len(z), -np.inf)
+        out = kernel(theta, x, order, rows)
+        return (out if order else (out,)), ok, theta
+    out = (np.full(len(z), -np.inf), np.full((len(z), 4), np.nan), np.full((len(z), 4, 4), np.nan))[: order + 1]
     if True in ok.tolist():
-        ll[ok] = kernel(theta[ok], x, 0, rows[ok])
-    return ll, ok, theta
+        part = kernel(theta[ok], x, order, rows[ok])
+        for whole, some in zip(out, part if order else (part,)):
+            whole[ok] = some
+    return out, ok, theta
 
 
 def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radius=np.inf, max_steps=_NEWTON_MAX_STEPS):
@@ -228,6 +235,12 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
     each row's step count and likelihood evaluations; and the mask of rows
     that stopped rather than failed.
 
+    The line search's full step is evaluated at order 2, and a row that
+    takes it carries that (ll, g, H) into its next step, which evaluates
+    only the other rows: a kernel row's ll is the same sum at every order,
+    so the carried iterate is bitwise the one evaluated again.  The
+    halvings are evaluated at order 0.
+
     The arrays of the rows still running are kept compact, and compacted
     again only when rows stop or fail, so a step in which no row leaves
     does no gathering or scattering.  The data are never compacted: the
@@ -241,19 +254,24 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
     done = np.zeros(m, dtype=bool)
     free, block = space.free, space.free_block
     # the running rows: original row, evaluations, free internal and
-    # natural coordinates, and row of x; an accepted line-search probe
-    # hands its natural coordinates on to the next iterate
+    # natural coordinates, row of x, and whether the iterate still needs
+    # its evaluation; an accepted line-search probe hands its natural
+    # coordinates on to the next iterate, and a full step its (ll, g, h)
     idx, ev = np.arange(m), np.zeros(m, dtype=int)
     theta, ok = space.natural(z)
     theta_out = theta.copy()  # a row that leaves the space at once reports its start
     z = z.copy()
     if False in ok.tolist():
         idx, z, rows, theta = idx[ok], z[ok], rows[ok], theta[ok]
+    fresh = np.ones(len(idx), dtype=bool)
     for step in range(max_steps):
         if not idx.size:
             break
-        ev += 1
-        ll, g, h = kernel(theta, x, 2, rows)
+        if False not in fresh.tolist():
+            ll, g, h = kernel(theta, x, 2, rows)
+        elif True in fresh.tolist():
+            ll[fresh], g[fresh], h[fresh] = kernel(theta[fresh], x, 2, rows[fresh])
+        ev += fresh
         ok = _finite_rows(g) & _finite_rows(h)
         if False in ok.tolist():
             gone = idx[~ok]
@@ -289,12 +307,14 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
         at = np.arange(len(idx))  # their positions among the running rows
         zs, ss, rs, lls, slopes = z, s, rows, ll, slope
         alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
+        for halving in range(_MAX_HALVINGS):
             z_try = zs + alpha * ss
-            ll_try, evaluated, theta_try = _probe(space, z_try, x, rs)
+            (ll_try, *deriv), evaluated, theta_try = _probe(space, z_try, x, rs, 0 if halving else 2)
             ev[at] += evaluated
             accept = ll_try >= lls + _ARMIJO * alpha * slopes
             z[at[accept]], theta[at[accept]] = z_try[accept], theta_try[accept]
+            if not halving:  # every running row probed the full step
+                ll, (g, h), fresh = ll_try, deriv, ~accept
             if False not in accept.tolist():
                 at = at[:0]
                 break
@@ -308,6 +328,7 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
             gone = idx[at]
             theta_out[gone], steps[gone], evals[gone] = theta[at], step, ev[at]
             idx, ev, z, rows, theta = idx[go], ev[go], z[go], rows[go], theta[go]
+            ll, g, h, fresh = ll[go], g[go], h[go], fresh[go]
     theta_out[idx], steps[idx], evals[idx] = theta, max_steps, ev
     return theta_out, ll_out, h_out, steps, evals, done
 

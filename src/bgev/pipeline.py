@@ -28,6 +28,7 @@ from .params import BgevParams, csv_text, write_text
 
 __all__ = [
     "InputDataError",
+    "NotConvergedError",
     "SeriesFile",
     "BlockMaxima",
     "ModelAssessment",
@@ -43,6 +44,10 @@ __all__ = [
 
 class InputDataError(ValueError):
     """Malformed or unusable input data."""
+
+
+class NotConvergedError(RuntimeError):
+    """A fit did not converge, and the assessment of its end point failed."""
 
 
 # named starting points for the two kinds of environmental series this
@@ -425,7 +430,14 @@ class ComparisonReport:
 
 def _assess(name: str, fit: FitResult, x: np.ndarray, as_gev: bool) -> ModelAssessment:
     th = fit.theta_hat
-    gof = gof_report(x, lambda v: bgev_cdf(v, th), lambda q: bgev_quantile(q, th))
+    try:
+        gof = gof_report(x, lambda v: bgev_cdf(v, th), lambda q: bgev_quantile(q, th))
+    except ValueError as exc:
+        if fit.converged:
+            raise
+        # an end point short of a maximum can put data on its support's edge
+        why = f"the {name} fit did not converge ({fit.stop}) and its KS/AD cannot be computed"
+        raise NotConvergedError(f"{why}: {exc}") from exc
     if as_gev:
         mu, sigma = th.mu / th.sigma, 1.0 / th.sigma
         delta = 0.0
@@ -462,7 +474,8 @@ def fit_and_compare(b: BlockMaxima, bgev_start: BgevParams | None = None) -> Com
     is run from its own start (default_start unless given) and again from
     the GEV solution, keeping the better optimum, so a converged BGEV never
     scores worse than the nested GEV.  A fit that fails to converge is
-    reported as such without aborting the other model.
+    reported as such without aborting the other model, unless KS/AD cannot
+    be computed at its end point, which raises NotConvergedError.
     """
     x = np.asarray(b.maxima, dtype=float)
     try:

@@ -34,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from .distribution import sample
+from .distribution import _UNIFORM_RANGE, quantile
 from .likelihood import kernel
 from .mle import InfeasibleStartError, _checked_space, fit_mle_rows
 from .params import BgevParams, csv_text
@@ -116,31 +116,30 @@ class SimReport:
     drops: dict[str, int] = field(compare=False, default_factory=dict)
 
 
-def _project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevParams:
-    xi = truth.xi + lam * shift[0]
-    mu = truth.mu + lam * shift[1]
-    delta = max(truth.delta + lam * shift[2], -1.0 + _DELTA_MARGIN)
-    if abs(xi) < _XI_MARGIN:
-        xi = _XI_MARGIN if truth.xi > 0 else -_XI_MARGIN
-    return BgevParams(xi=xi, mu=mu, sigma=truth.sigma, delta=delta)
-
-
-def _starts(truth: BgevParams, xs: np.ndarray, shifts: np.ndarray) -> list[BgevParams]:
-    """Each replicate's start: the truth plus lam times its shift, at the
-    first lam in 1, 1/2, 1/4, ... (40 tries) that puts its data inside the
-    support, else the truth itself.  All replicates are tried at once."""
-    starts = [truth] * len(xs)
-    todo = list(range(len(xs)))
+def _starts(truths: list[BgevParams], xs: np.ndarray, shifts: np.ndarray) -> list[BgevParams]:
+    """Each replicate's start: its truth plus lam times its shift, a row of
+    shifts in FREE_PARAMS order, at the first lam in 1, 1/2, 1/4, ... (40
+    tries) that puts its data, the same row of xs, inside the support,
+    else the truth itself.  delta is kept _DELTA_MARGIN above -1 and |xi|
+    at least _XI_MARGIN, on the truth's side of 0.  All replicates are
+    tried at once, with one kernel call per shrink step; the arithmetic is
+    elementwise, so each start is that of its replicate alone."""
+    truth = np.array([[t.xi, t.mu, t.sigma, t.delta] for t in truths]).reshape(-1, 4)
+    starts = list(truths)
+    todo = np.arange(len(truths))
     lam = 1.0
     for _ in range(40):
-        cands = [_project_start(truth, shifts[r], lam) for r in todo]
-        rows = np.array([[c.mu, c.sigma, c.delta, c.xi] for c in cands])
-        ok = np.isfinite(kernel(rows, xs, 0, np.array(todo))).tolist()
-        for r, c, good in zip(todo, cands, ok):
-            if good:
-                starts[r] = c
-        todo = [r for r, good in zip(todo, ok) if not good]
-        if not todo:
+        t, shift = truth[todo], shifts[todo]
+        xi = t[:, 0] + lam * shift[:, 0]
+        mu = t[:, 1] + lam * shift[:, 1]
+        delta = np.maximum(t[:, 3] + lam * shift[:, 2], -1.0 + _DELTA_MARGIN)
+        xi = np.where(np.abs(xi) < _XI_MARGIN, np.where(t[:, 0] > 0, _XI_MARGIN, -_XI_MARGIN), xi)
+        rows = np.column_stack([mu, t[:, 2], delta, xi])  # likelihood.PARAM_ORDER
+        ok = np.isfinite(kernel(rows, xs, 0, todo))
+        for r, (mu_r, sg_r, dl_r, xi_r) in zip(todo[ok].tolist(), rows[ok].tolist()):
+            starts[r] = BgevParams(xi=xi_r, mu=mu_r, sigma=sg_r, delta=dl_r)
+        todo = todo[~ok]
+        if not todo.size:
             break
         lam *= 0.5
     return starts
@@ -148,12 +147,19 @@ def _starts(truth: BgevParams, xs: np.ndarray, shifts: np.ndarray) -> list[BgevP
 
 def _draw(cfg: SimConfig, xs: np.ndarray) -> np.ndarray:
     """Draw the cell's m samples into the rows of xs (m, n), replicate r
-    from the (seed, r) stream, and return each replicate's start shift."""
+    from the (seed, r) stream, and return each replicate's start shift.
+
+    Each stream gives its n uniforms, as ``sample`` draws them, and then
+    the shift; the clipped uniforms of the whole cell go through one
+    ``quantile`` call with the cell's truth.  The map is elementwise with
+    scalar parameters, so each row is bitwise ``sample``'s draw."""
     shifts = np.empty((cfg.m, len(FREE_PARAMS)))
     for r in range(cfg.m):
         rng = np.random.default_rng([cfg.seed, r])
-        xs[r] = sample(cfg.n, cfg.truth, rng)
+        xs[r] = rng.random(cfg.n)
         shifts[r] = rng.random(len(FREE_PARAMS))
+    np.clip(xs, *_UNIFORM_RANGE, out=xs)
+    xs[:] = quantile(xs, cfg.truth)
     return shifts
 
 
@@ -198,14 +204,15 @@ def run_cells(cfgs: list[SimConfig]) -> list[SimReport | Exception]:
     """Run cells that share n and the true sigma with one shared fit.
 
     Every replicate of every cell is drawn from its own (seed, r) stream
-    into one stacked (sum of m, n) array, given its start, and all of them
-    are fitted by one ``fit_mle_rows`` call with sigma pinned; each fit is
-    bitwise the replicate fitted alone.  Entry i is cell i's report or the
-    exception that failed it: its draw or its data (the checks the shared
-    fit makes on every sample, made per cell), its failure budget
-    (SimCellError), or the shared fit itself, which fails every cell of the
-    call.  A report's wall_time is that of the whole call's draws, starts
-    and fit.
+    into one stacked (sum of m, n) array, with one quantile map per cell;
+    the starts of all of them come from one kernel call per shrink step,
+    and all of them are fitted by one ``fit_mle_rows`` call with sigma
+    pinned; each start and fit is bitwise the replicate's alone.  Entry i
+    is cell i's report or the exception that failed it: its draw or its
+    data (the checks the shared fit makes on every sample, made per cell),
+    its failure budget (SimCellError), or the shared starts and fit, which
+    fail every cell of the call.  A report's wall_time is that of the
+    whole call's draws, starts and fit.
     """
     t0 = time.perf_counter()
     n, sigma = cfgs[0].n, cfgs[0].truth.sigma
@@ -214,24 +221,25 @@ def run_cells(cfgs: list[SimConfig]) -> list[SimReport | Exception]:
     fixed = {"sigma": sigma}
     bounds = np.cumsum([0, *(c.m for c in cfgs)]).tolist()
     xs = np.empty((bounds[-1], n))
+    shifts = np.empty((bounds[-1], len(FREE_PARAMS)))
     out: list = [None] * len(cfgs)
-    live, starts = [], []  # the cells that drew cleanly, and their starts
+    live = []  # the cells that drew cleanly
     for i, cfg in enumerate(cfgs):
-        block = xs[bounds[i] : bounds[i + 1]]
+        block = slice(bounds[i], bounds[i + 1])
         try:
-            shifts = _draw(cfg, block)
-            _checked_space(block, fixed)
-            cell_starts = _starts(cfg.truth, block, shifts)
+            shifts[block] = _draw(cfg, xs[block])
+            _checked_space(xs[block], fixed)
         except Exception as exc:  # noqa: BLE001 - one cell's draw fails that cell alone
             out[i] = exc
             continue
         live.append(i)
-        starts += cell_starts
     if not live:
         return out
     if len(live) < len(cfgs):
-        xs = xs[np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in live])]
+        keep = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in live])
+        xs, shifts = xs[keep], shifts[keep]
     try:
+        starts = _starts([cfgs[i].truth for i in live for _ in range(cfgs[i].m)], xs, shifts)
         fits = fit_mle_rows(xs, starts, fixed)
     except Exception as exc:  # noqa: BLE001 - recorded against every cell of the call
         for i in live:

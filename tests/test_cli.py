@@ -176,6 +176,22 @@ def test_fit_no_standardize_overflowing_series_exits_2_without_warnings(tmp_path
     assert res.stderr == "error: ljung_box: the spread of the series overflows a float\n"
 
 
+def test_fit_unconverged_fit_without_gof_exits_3(tmp_path, capsys):
+    # 285 Cauchy readings, fitted block by block and unstandardized: the GEV
+    # fit ends at the bounded retry's step cap, at an end point whose support
+    # leaves out the lowest reading, so its KS/AD cannot be computed.  That
+    # is the fit's non-convergence (exit 3), not an input error (exit 2)
+    data = tmp_path / "heavy.csv"
+    data.write_text("".join(f"{v!r}\n" for v in series_values("heavy", 285, 1.0, 1)), encoding="utf-8")
+    argv = ["fit", "--input", str(data), "--block-size", "1", "--no-standardize", "--out-dir", str(tmp_path / "out")]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 3
+    assert err == (
+        "error: the GEV fit did not converge (step_cap) and its KS/AD cannot be computed: "
+        "F(x) hit the boundary for observation x=-45.578751050340195 (rank 1, F=0.0)\n"
+    )
+
+
 def test_fit_value_col_selectors(tmp_path, capsys):
     outputs = []
     for sel in ("1", "value"):

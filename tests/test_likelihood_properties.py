@@ -270,6 +270,23 @@ def test_batched_rows_equal_rows_alone(cells, n, overshoot):
                 assert math.isfinite(ll)
 
 
+@PROPERTY
+@given(rows_of_a_cell, st.integers(8, 60), st.floats(1e-6, 2.0), st.booleans())
+def test_log_likelihood_is_the_same_bits_at_every_order(cells, n, overshoot, tails):
+    # a line search accepts a probe on its order-0 ll and may carry the
+    # order-2 evaluation of the same point into the next Newton step, so
+    # the two must agree bit for bit: in one call over mixed rows, row by
+    # row alone, and on data drawn by sample, whose uniforms reach 1e-300
+    # and 1 - 1e-16 (the far tails), as well as on interior data
+    draw = (lambda p, seed: sample(n, p, seed)) if tails else (lambda p, seed: interior_sample(p, n, seed))
+    rows = [feasible_or_broken(p, draw(p, seed), kind, overshoot) for p, seed, kind in cells]
+    theta = np.array([as_row(p) for p, _ in rows])
+    xs = np.array([x for _, x in rows])
+    assert kernel(theta, xs, 0).tobytes() == kernel(theta, xs, 2)[0].tobytes()
+    for p, x in rows:
+        assert np.float64(kernel(p, x, 0)).tobytes() == np.float64(kernel(p, x, 2)[0]).tobytes()
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_batched_rows_split_into_chunks(order):
     # five rows of this size run through the kernel as chunks of 3 and 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bgev.sim as sim_mod
-from bgev import BgevParams, InfeasibleStartError, SimConfig, fit_mle, log_likelihood, run_cell, run_suite, sample
+from bgev import BgevParams, InfeasibleStartError, SimConfig, fit_mle, log_likelihood, quantile, run_cell, run_suite, sample
 from bgev.mle import fit_mle_rows
 from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table, run_cells
 
@@ -219,21 +219,43 @@ RUNAWAY = SimConfig(truth=BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5), n=
 STUDY = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=250, m=20, seed=1)
 
 
+def project_start(truth: BgevParams, shift: np.ndarray, lam: float) -> BgevParams:
+    """The start of one replicate at shrink lam, in scalar arithmetic: the
+    truth plus lam times the shift, delta kept 1e-6 above -1 and |xi| at
+    least 1e-6 on the truth's side of 0."""
+    xi = truth.xi + lam * shift[0]
+    mu = truth.mu + lam * shift[1]
+    delta = max(truth.delta + lam * shift[2], -1.0 + 1e-6)
+    if abs(xi) < 1e-6:
+        xi = 1e-6 if truth.xi > 0 else -1e-6
+    return BgevParams(xi=xi, mu=mu, sigma=truth.sigma, delta=delta)
+
+
+def start_alone(truth: BgevParams, x: np.ndarray, shift: np.ndarray) -> BgevParams:
+    """The first of 40 halvings of the shift at which x is feasible, else
+    the truth."""
+    lam = 1.0
+    for _ in range(40):
+        cand = project_start(truth, shift, lam)
+        if np.isfinite(log_likelihood(cand, x)):
+            return cand
+        lam *= 0.5
+    return truth
+
+
+def replicate_alone(cfg: SimConfig, r: int):
+    """Replicate r of a cell drawn by ``sample``: its data and start shift."""
+    rng = np.random.default_rng([cfg.seed, r])
+    x = sample(cfg.n, cfg.truth, rng)
+    return x, rng.random(3)
+
+
 def per_replicate_fits(cfg: SimConfig):
     """fit_mle on each replicate alone, from the start run_cell gives it."""
     fits = []
     for r in range(cfg.m):
-        rng = np.random.default_rng([cfg.seed, r])
-        x = sample(cfg.n, cfg.truth, rng)
-        shift = rng.random(3)
-        start, lam = cfg.truth, 1.0
-        for _ in range(40):
-            cand = sim_mod._project_start(cfg.truth, shift, lam)
-            if np.isfinite(log_likelihood(cand, x)):
-                start = cand
-                break
-            lam *= 0.5
-        fits.append(fit_mle(x, start, {"sigma": cfg.truth.sigma}))
+        x, shift = replicate_alone(cfg, r)
+        fits.append(fit_mle(x, start_alone(cfg.truth, x, shift), {"sigma": cfg.truth.sigma}))
     return fits
 
 
@@ -338,9 +360,9 @@ def test_batch_wall_time_is_shared():
         run_cells([MIXED[0], MIXED[1]])
 
 
-def real_sample_except(bad_truth, replacement):
-    def fake(n, truth, rng):
-        x = sample(n, truth, rng)
+def real_quantile_except(bad_truth, replacement):
+    def fake(q, truth):
+        x = quantile(q, truth)
         return replacement(x) if truth == bad_truth else x
 
     return fake
@@ -351,7 +373,7 @@ def raise_draw(x):
 
 
 def nan_draw(x):
-    x[3] = np.nan
+    x[3, 5] = np.nan
     return x
 
 
@@ -362,7 +384,7 @@ def nan_draw(x):
 )
 def test_one_bad_draw_fails_its_cell_alone(monkeypatch, mixed_alone, replacement, message):
     bad = MIXED[3].truth  # shares its batch with RUNAWAY
-    monkeypatch.setattr(sim_mod, "sample", real_sample_except(bad, replacement))
+    monkeypatch.setattr(sim_mod, "quantile", real_quantile_except(bad, replacement))
     with pytest.raises(Exception, match=message):
         run_cell(MIXED[3])
     reports, errors = run_suite(MIXED)
@@ -400,3 +422,68 @@ def test_shared_fit_error_fails_every_cell_of_its_batch(monkeypatch, mixed_alone
     # in cell-index order, though the n = 80 batch with cell 4 runs last
     assert errors == [(1, "programming error"), (4, "programming error"), (5, "programming error")]
     assert [r for i, r in enumerate(reports) if i not in (1, 4, 5)] == [mixed_alone[i] for i in (0, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RUNAWAY,
+        SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=1.0), n=50, m=6, seed=2),  # ** 0.5 is a sqrt
+        SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=2.0, delta=0.0), n=80, m=4, seed=3),
+        SimConfig(truth=BgevParams(xi=-0.25, mu=0.0, sigma=1.0, delta=2.0), n=250, m=3, seed=4),
+    ],
+    ids=["delta<0", "delta=1", "delta=0", "xi<0"],
+)
+def test_bulk_draw_equals_sample_per_replicate(cfg):
+    # each replicate's stream gives its uniforms and then its shift, and
+    # the whole cell's quantile map is bitwise sample's row by row
+    xs = np.empty((cfg.m, cfg.n))
+    shifts = sim_mod._draw(cfg, xs)
+    for r in range(cfg.m):
+        x, shift = replicate_alone(cfg, r)
+        assert xs[r].tobytes() == x.tobytes() and shifts[r].tobytes() == shift.tobytes()
+
+
+def test_batched_starts_equal_each_cell_alone():
+    # mixed truths in one call, with two made-up replicates: a shift that
+    # puts xi exactly at 0, so the start is clamped to -1e-6, and a sample
+    # with an observation at the origin, infeasible at every delta != 0,
+    # whose 40 shrinks all fail so that its start is the truth
+    cells = [MIXED[0], MIXED[2], MIXED[3], replace(MIXED[2], m=2, seed=11)]
+    blocks = [np.empty((c.m, 50)) for c in cells]
+    shifts = [sim_mod._draw(replace(c, n=50), b) for c, b in zip(cells, blocks)]
+    shifts[3][0] = [0.25, 0.0, 0.0]  # xi = -0.25 + 0.25
+    blocks[3][1, 7] = 0.0
+    alone = [sim_mod._starts([c.truth] * c.m, b, s) for c, b, s in zip(cells, blocks, shifts)]
+    truths = [c.truth for c in cells for _ in range(c.m)]
+    batched = sim_mod._starts(truths, np.concatenate(blocks), np.concatenate(shifts))
+    assert batched == [s for cell in alone for s in cell]
+    scalar = [start_alone(t, x, s) for t, x, s in zip(truths, np.concatenate(blocks), np.concatenate(shifts))]
+    as_bytes = lambda starts: np.array([[p.xi, p.mu, p.sigma, p.delta] for p in starts]).tobytes()  # noqa: E731
+    assert as_bytes(batched) == as_bytes(scalar)
+    assert batched[-2].xi == -1e-6 and batched[-1] is cells[3].truth
+
+
+# the results.csv text of a small mixed suite, one cell with a step_cap
+# drop, written by the code before the per-cell quantile map, the batched
+# starts and the carried line-search evaluation: a change that claims to
+# keep every fit must keep these bytes
+GOLDEN_CELLS = [
+    replace(RUNAWAY, m=5),
+    SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=1.0, delta=0.0), n=250, m=5, seed=1),
+    SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=1.0), n=50, m=5, seed=2),
+    SimConfig(truth=BgevParams(xi=-0.25, mu=0.0, sigma=1.0, delta=2.0), n=250, m=5, seed=3),
+]
+GOLDEN_CSV = """\
+xi,mu,sigma,delta,n,m,seed,mean_xi,mean_mu,mean_delta,bias_xi,bias_mu,bias_delta,mse_xi,mse_mu,mse_delta,failures
+0.25,1,1,-0.5,50,5,34009,0.082992585080679165,1.0752591679247607,-0.53045458252266053,-0.16700741491932083,0.075259167924760728,-0.030454582522660534,0.058798609251131798,0.017029037173205273,0.004307796265370571,1
+1,-1,1,0,250,5,1,1.0104371992652856,-0.99309177648937597,-0.0095429319260751325,0.010437199265285635,0.0069082235106240342,-0.0095429319260751325,0.0013703314081415635,0.0025708302955697107,0.0045113911141804837,0
+0.5,0,1,1,50,5,2,0.62184126694520347,0.025326226904301936,1.1337910547074324,0.12184126694520347,0.025326226904301936,0.13379105470743236,0.085636038629798392,0.014820754579213271,0.12903150728095955,0
+-0.25,0,1,2,250,5,3,-0.27627332293112578,-0.015674167246297062,1.9085243932174485,-0.026273322931125775,-0.015674167246297062,-0.091475606782551511,0.0034790562369767047,0.0050018716410271157,0.018681699081098662,0
+"""
+
+
+def test_golden_suite_bytes():
+    reports, errors = run_suite(GOLDEN_CELLS)
+    assert not errors and reports[0].drops == {"not_converged:step_cap": 1}
+    assert reports_to_csv(reports) == GOLDEN_CSV

@@ -64,6 +64,17 @@ def _resolve_input(spec: str) -> str:
     return spec
 
 
+def _ljung_box(x: np.ndarray, lags: int):
+    """``ljung_box`` at ``lags``, lowered with a note on stderr to the most
+    a series this short allows (lags < n/2)."""
+    most = (x.size - 1) // 2
+    if lags > most >= 1:
+        note = f"note: Ljung-Box lags lowered from {lags} to {most}, the most below n/2 for n = {x.size}"
+        print(note, file=sys.stderr)
+        lags = most
+    return ljung_box(x, lags=lags)
+
+
 def cmd_eval(args) -> int:
     p = _params_from(args)
     if args.x is None and args.q is None:
@@ -79,7 +90,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sample(args) -> int:
     p = _params_from(args)
-    text = csv_text([v] for v in sample(args.n, p, args.seed).tolist())
+    text = csv_text(columns=[sample(args.n, p, args.seed)])
     if args.out:
         write_text(args.out, text)
     else:
@@ -93,7 +104,7 @@ def cmd_gof(args) -> int:
     x = series.values
     ks = ks_statistic(x, lambda v: cdf(v, p))
     ad = ad_statistic(x, lambda v: cdf(v, p))
-    lb = ljung_box(x, lags=args.ljung_box_lags)
+    lb = _ljung_box(x, args.ljung_box_lags)
     rows = [
         ("n", x.size),
         ("ks", ks),
@@ -119,7 +130,7 @@ def cmd_fit(args) -> int:
     if args.standardize:
         b = standardize(b)
 
-    lb = ljung_box(b.maxima, lags=args.ljung_box_lags)
+    lb = _ljung_box(b.maxima, args.ljung_box_lags)
     start = None if args.start_preset == "auto" else START_PRESETS[args.start_preset]
     report = fit_and_compare(b, bgev_start=start)
 

@@ -51,7 +51,7 @@ def write_all(out_dir: Path | None = None) -> list[Path]:
     for name, (params, seed) in SERIES.items():
         values = build_series(params, seed)
         path = out / f"{name}_hourly.csv"
-        write_text(path, csv_text([("hour", "value"), *enumerate(values.tolist())]))
+        write_text(path, csv_text([("hour", "value")], [np.arange(values.size), values]))
         paths.append(path)
     return paths
 

@@ -231,9 +231,11 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
     search fails or it is still running after max_steps steps.  Returns
     (theta, ll, h, steps, evals, done): each row's final parameter row
     (m, 4), where it stopped or else its last accepted iterate; the
-    log-likelihoods (m,) and Hessians (m, 4, 4) of the rows that stopped;
-    each row's step count and likelihood evaluations; and the mask of rows
-    that stopped rather than failed.
+    log-likelihoods (m,) and Hessians (m, 4, 4) at those rows, with ll nan
+    where the run holds no order-2 evaluation of one (a row that left the
+    space at once, or whose last accepted step was a halving); each row's
+    step count and likelihood evaluations; and the mask of rows that
+    stopped rather than failed.
 
     The line search's full step is evaluated at order 2, and a row that
     takes it carries that (ll, g, H) into its next step, which evaluates
@@ -247,7 +249,7 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
     kernel gathers the running rows of x a chunk at a time.
     """
     m = len(z)
-    ll_out = np.full(m, -np.inf)
+    ll_out = np.full(m, np.nan)
     h_out = np.full((m, 4, 4), np.nan)
     steps = np.zeros(m, dtype=int)
     evals = np.zeros(m, dtype=int)
@@ -276,6 +278,7 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
         if False in ok.tolist():
             gone = idx[~ok]
             theta_out[gone], steps[gone], evals[gone] = theta[~ok], step, ev[~ok]
+            ll_out[gone], h_out[gone] = ll[~ok], h[~ok]
             idx, ev, z, rows, theta, ll, g, h = idx[ok], ev[ok], z[ok], rows[ok], theta[ok], ll[ok], g[ok], h[ok]
             if not idx.size:
                 break
@@ -293,17 +296,18 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
                 s[long] *= (radius / norm[long])[:, None]
                 slope[long] = _row_dots(g_z[long], s[long])
         if failed.size or True in stop.tolist():
-            ids = idx[stop]
-            ll_out[ids], h_out[ids] = ll[stop], h[stop]
-            done[ids] = True
+            done[idx[stop]] = True
             go = ~stop
             go[failed] = False
             gone = idx[~go]
             theta_out[gone], steps[gone], evals[gone] = theta[~go], step, ev[~go]
-            idx, ev, z, rows, theta, ll, s, slope = idx[go], ev[go], z[go], rows[go], theta[go], ll[go], s[go], slope[go]
+            ll_out[gone], h_out[gone] = ll[~go], h[~go]
+            idx, ev, z, rows, theta, ll, h = idx[go], ev[go], z[go], rows[go], theta[go], ll[go], h[go]
+            s, slope = s[go], slope[go]
             if not idx.size:
                 break
         # backtracking line search; the rows still searching share alpha
+        ll_at, h_at = ll, h  # the iterate's, for a row whose search fails
         at = np.arange(len(idx))  # their positions among the running rows
         zs, ss, rs, lls, slopes = z, s, rows, ll, slope
         alpha = 1.0
@@ -327,9 +331,13 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space, radiu
             go[at] = False
             gone = idx[at]
             theta_out[gone], steps[gone], evals[gone] = theta[at], step, ev[at]
+            ll_out[gone], h_out[gone] = ll_at[at], h_at[at]
             idx, ev, z, rows, theta = idx[go], ev[go], z[go], rows[go], theta[go]
             ll, g, h, fresh = ll[go], g[go], h[go], fresh[go]
     theta_out[idx], steps[idx], evals[idx] = theta, max_steps, ev
+    if idx.size:  # at the step cap, a row whose last step was the full one holds its evaluation
+        held = ~fresh
+        ll_out[idx[held]], h_out[idx[held]] = ll[held], h[held]
     return theta_out, ll_out, h_out, steps, evals, done
 
 
@@ -412,8 +420,9 @@ def fit_mle_rows(
 
     Entry r is the fit of row r from starts[r], or the InfeasibleStartError
     its start raises; it is bitwise the fit of row r alone.  A fit that did
-    not converge reports the retry's last iterate, with the log-likelihood
-    and Hessian of one more order-2 evaluation.  Errors shared by all rows
+    not converge reports the retry's last iterate with its log-likelihood
+    and Hessian: those the retry evaluated there, or else those of one more
+    order-2 evaluation.  Errors shared by all rows
     (too few observations, non-finite data, bad fixed names or values)
     raise.
     """
@@ -436,8 +445,8 @@ def fit_mle_rows(
             x, rows[retry], z0[retry], space, _RETRY_RADIUS, _RETRY_STEPS
         )
         evals[retry] += ev
-        lost = retry[~done[retry]]
-        if lost.size:  # the last iterates, evaluated once more
+        lost = retry[np.isnan(ll[retry])]
+        if lost.size:  # last iterates the retry holds no evaluation of
             ll[lost], _, h[lost] = kernel(theta[lost], x, 2, rows[lost])
             evals[lost] += 1
         for i in retry.tolist():

@@ -21,13 +21,37 @@ class ParameterError(ValueError):
     """Raised when a parameter vector violates its admissibility constraints."""
 
 
-def csv_text(rows) -> str:
+# lines per ``%`` format of a column table: bounds the flat tuple of cells
+# and the format string however long the table
+_BLOCK_ROWS = 65536
+
+
+def csv_text(rows=(), columns=()) -> str:
     """The text of every CSV-like output: one comma-joined line per row,
-    each ending in a newline.  A float cell is written with 17 significant
-    digits, enough to round-trip any double; any other cell as ``str``
-    gives it.  Formatting a Python float is faster than a numpy scalar, so
-    pass numpy columns through ``.tolist()``."""
-    return "".join(",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in row) + "\n" for row in rows)
+    each ending in a newline.  A float cell (a numpy float64 is one) is
+    written with 17 significant digits, enough to round-trip any double;
+    any other cell as ``str`` gives it.
+
+    ``rows`` are written first, each as given.  ``columns``, 1-D numpy
+    arrays of equal length, then give one line per index; a cell of a
+    column is its ``.tolist()`` value, so a float column is written
+    ``%.17g`` and an integer or bool column as ``str``.  The columns are
+    formatted by one ``%`` format line, repeated and applied to a flat
+    tuple of at most ``_BLOCK_ROWS`` rows at a time.
+    """
+    parts = [
+        (",".join("%.17g" if isinstance(c, float) else "%s" for c in row) + "\n") % tuple(row) for row in rows
+    ]
+    if columns:
+        k, n = len(columns), len(columns[0])
+        line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            flat = [None] * ((stop - start) * k)
+            for i, c in enumerate(columns):
+                flat[i::k] = c[start:stop].tolist()
+            parts.append(line * (stop - start) % tuple(flat))
+    return "".join(parts)
 
 
 def write_text(path, text: str) -> None:

@@ -13,9 +13,12 @@ from __future__ import annotations
 import csv as _csv
 import io
 import math
+import os
+import re
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -131,18 +134,41 @@ def _columns(first_row: list[str], has_header: bool, value_column, time_column) 
     return names, v_idx, t_idx
 
 
-def _read(path) -> tuple[str, str]:
-    """The file's text and its delimiter: a tab when the first non-blank
-    line holds one, else a comma."""
+def _stamp(file) -> tuple[int, int, int] | None:
+    """(st_ino, st_size, st_mtime_ns) of a regular file given by path or
+    descriptor; None for a pipe, a device, any other kind of file, or one
+    that cannot be found."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        st = os.stat(file)
+    except OSError:
+        return None
+    return (st.st_ino, st.st_size, st.st_mtime_ns) if S_ISREG(st.st_mode) else None
+
+
+def _read(path) -> tuple[str, str, tuple[int, int, int] | None]:
+    """The file's text, its delimiter (a tab when the first non-blank line
+    holds one, else a comma) and its ``_stamp`` as it was read."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            stamp = _stamp(f.fileno())
+            text = f.read()
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     if not text:
         raise InputDataError(f"{path}: file is empty")
-    return text, "\t" if "\t" in text.lstrip("\n").partition("\n")[0] else ","
+    top, eol = _first_line(text)
+    return text, "\t" if "\t" in text[top:eol] else ",", stamp
+
+
+def _first_line(text: str) -> tuple[int, int]:
+    """Where the first non-blank line of ``text`` starts and ends (at its
+    line end, or at the end of the text); no slice of the text beyond it is
+    copied."""
+    top = len(text) - len(text.lstrip("\n"))
+    eol = text.find("\n", top)
+    return top, eol if eol >= 0 else len(text)
 
 
 def _check_increasing(path, times: np.ndarray) -> None:
@@ -162,23 +188,36 @@ def _has_long_line(text: str, limit: int) -> bool:
     return False
 
 
-def _fill_empty_fields(body: str, delimiter: str) -> str:
-    """``body`` with "nan" in every empty field of a line that has a
-    delimiter; a blank line stays blank.  A field is empty where two field
-    edges (a delimiter or a line end) are adjacent and one of them is a
-    delimiter; one scan of the UTF-8 bytes finds them all, since no
-    continuation byte equals a delimiter or a line end."""
-    b = f"\n{body}\n".encode()
-    u = np.frombuffer(b, np.uint8)
-    sep = u == ord(delimiter)
-    edge = u == ord("\n")
-    edge |= sep
-    pairs = np.flatnonzero(edge[:-1] & edge[1:])  # empty fields and blank lines
-    gaps = pairs[sep[pairs] | sep[pairs + 1]] + 1
-    if not gaps.size:
-        return body
-    cuts, view = [1, *gaps.tolist(), len(b) - 1], memoryview(b)
-    return b"nan".join(view[i:j] for i, j in zip(cuts, cuts[1:])).decode()
+# characters per block of the empty-field scan: its byte and mask arrays
+# stay this small however long the file
+_SCAN_CHARS = 1 << 18
+
+
+def _fill_empty_fields(text: str, start: int, delimiter: str) -> str | None:
+    """``text[start:]`` with "nan" in every empty field of a line that has
+    a delimiter, or None where no field is empty; a blank line stays blank.
+    A field is empty where two field edges (a delimiter or a line end) are
+    adjacent and one of them is a delimiter; a scan of the UTF-8 bytes
+    finds them all, since no continuation byte equals a delimiter or a line
+    end.  The scan takes ``_SCAN_CHARS`` characters at a time, each block
+    after the character before it."""
+    filled = {}  # block start: the block with its empty fields filled
+    for lo in range(start, len(text), _SCAN_CHARS):
+        hi = min(lo + _SCAN_CHARS, len(text))
+        before = text[lo - 1] if lo > start else "\n"
+        b = (before + text[lo:hi] + ("\n" if hi == len(text) else "")).encode()
+        u = np.frombuffer(b, np.uint8)
+        sep = u == ord(delimiter)
+        edge = u == ord("\n")
+        edge |= sep
+        pairs = np.flatnonzero(edge[:-1] & edge[1:])  # empty fields and blank lines
+        gaps = (pairs[sep[pairs] | sep[pairs + 1]] + 1).tolist()
+        if gaps:
+            cuts, view = [len(before.encode()), *gaps, len(b) - (hi == len(text))], memoryview(b)
+            filled[lo] = b"nan".join(view[i:j] for i, j in zip(cuts, cuts[1:])).decode()
+    if not filled:
+        return None
+    return "".join(filled.get(lo) or text[lo : lo + _SCAN_CHARS] for lo in range(start, len(text), _SCAN_CHARS))
 
 
 # whole fields that R and spreadsheets write for a missing value; the row
@@ -186,25 +225,26 @@ def _fill_empty_fields(body: str, delimiter: str) -> str:
 _MISSING_MARKERS = ("NA", "#N/A")
 
 
-def _fill_missing_markers(body: str, delimiter: str) -> str:
-    """``body`` with "nan" in every field that is one of
-    ``_MISSING_MARKERS``.  Each holds an "N", which ``str.find`` finds
-    fast, so a file with few of them is not copied field by field."""
+def _fill_missing_markers(text: str, start: int, delimiter: str) -> str | None:
+    """``text[start:]`` with "nan" in every field that is one of
+    ``_MISSING_MARKERS``, or None where there is none.  Each holds an "N",
+    which ``str.find`` finds fast, so a file with few of them is not copied
+    field by field.  ``start`` is 0 or follows a line end."""
     edges = ("", delimiter, "\n")
-    out, pos = [], 0
-    i = body.find("N")
+    out, pos = [], start
+    i = text.find("N", start)
     while i >= 0:
         for tok in _MISSING_MARKERS:
-            start = i - tok.index("N")
-            end = start + len(tok)
-            if start < pos or not body.startswith(tok, start):
+            first = i - tok.index("N")
+            end = first + len(tok)
+            if first < pos or not text.startswith(tok, first):
                 continue
-            if body[start - 1 : start] in edges and body[end : end + 1] in edges:  # a whole field
-                out += [body[pos:start], "nan"]
+            if text[first - 1 : first] in edges and text[end : end + 1] in edges:  # a whole field
+                out += [text[pos:first], "nan"]
                 pos = end
                 break
-        i = body.find("N", i + 1)
-    return "".join(out) + body[pos:] if out else body
+        i = text.find("N", i + 1)
+    return "".join(out) + text[pos:] if out else None
 
 
 def ingest(
@@ -228,42 +268,86 @@ def ingest(
     The body below the header is read column-wise by one ``np.loadtxt``
     call, with each empty, ``NA`` or ``#N/A`` field read as nan; under
     "skip" such a value or a non-finite one is skipped there as the row
-    parser would skip it.  A file that call cannot read goes to the row
-    parser, which gives the same result and alone names the ``file:line``
-    of a bad value.  Those are files with a quote, a NUL or a line longer
-    than the csv field limit anywhere, a short or whitespace-only line,
-    another non-numeric value or time field, or a missing timestamp in a
-    row whose value is kept, and under
-    "fail" files with a missing value.  Files with non-numeric (say ISO
-    8601) timestamps are therefore read at the row parser's speed.
+    parser would skip it.  That call reads the file itself, in chunks and
+    past the lines above the body, when the file is a regular one, the body
+    needed no field filled in, and the file's inode, size and modification
+    time are after the parse what they were when it was read; a pipe or
+    ``/dev/stdin``, a filled-in body, a compressed-file name or a file
+    changed in between is parsed from the text already read.
+
+    A file that call cannot read goes to the row parser, which gives the
+    same result and alone names the ``file:line`` of a bad value.  Those
+    are files with a quote, a NUL or a line longer than the csv field limit
+    anywhere, a short or whitespace-only line, another non-numeric value or
+    time field, or a missing timestamp in a row whose value is kept, and
+    under "fail" files with a missing value.  Files with non-numeric (say
+    ISO 8601) timestamps are therefore read at the row parser's speed.
     """
     if missing not in ("skip", "fail"):
         raise InputDataError(f"missing-value policy must be 'skip' or 'fail', got {missing!r}")
-    text, delimiter = _read(path)
-    s = _ingest_columns(path, text, delimiter, value_column, time_column, missing)
+    text, delimiter, stamp = _read(path)
+    s = _ingest_columns(path, text, delimiter, stamp, value_column, time_column, missing)
     return s if s is not None else _ingest_rows(path, text, delimiter, value_column, time_column, missing)
 
 
-def _ingest_columns(path, text: str, delimiter: str, value_column, time_column, missing: str) -> SeriesFile | None:
+# matches at a position followed by line ends only
+_BLANK_LINES = re.compile(r"\n*\Z")
+
+# names np.loadtxt decompresses when handed a path
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _load_body(path, stamp, text: str, start: int, **kw) -> np.ndarray:
+    """``np.loadtxt`` of the body ``text[start:]``.  numpy reads a path in
+    chunks but a StringIO one line at a time, so it reads the file itself,
+    past the lines above the body, when ``stamp`` is given and the file
+    still has it after the parse: ``text`` is then the file's text as read
+    with that stamp.  Any other input (a pipe, a body that was filled in, a
+    file changed since it was read) is parsed from the text."""
+    if stamp is not None and not str(path).endswith(_COMPRESSED):
+        skip = text.count("\n", 0, start)
+        try:
+            # an absolute path: numpy's opener fetches what parses as a URL
+            table = np.loadtxt(os.path.abspath(path), skiprows=skip, encoding="utf-8", **kw)
+        except OSError:
+            pass
+        except ValueError:
+            if _stamp(path) == stamp:
+                raise
+        else:
+            if _stamp(path) == stamp:
+                return table
+    return np.loadtxt(io.StringIO(text[start:]), **kw)
+
+
+def _ingest_columns(
+    path, text: str, delimiter: str, stamp, value_column, time_column, missing: str
+) -> SeriesFile | None:
     """``ingest`` by one ``np.loadtxt`` call over the body, or None where
     the row parser must read the file."""
     # quotes, NULs (csv.Error before Python 3.11) and over-long fields
     # (csv.Error) are where csv and a plain split on the delimiter disagree
     if '"' in text or "\0" in text or _has_long_line(text, _csv.field_size_limit()):
         return None
-    lines = text.lstrip("\n")
-    first_line, _, rest = lines.partition("\n")
-    first_row = next(_csv.reader([first_line], delimiter=delimiter))
+    # the body is text[start:], never copied out of a file read by its path
+    top, eol = _first_line(text)
+    first_row = next(_csv.reader([text[top:eol]], delimiter=delimiter))
     has_header = _is_header(first_row)
-    body = rest if has_header else lines
-    if body.count("\n") == len(body):  # blank lines only
+    start = min(eol + 1, len(text)) if has_header else top
+    if _BLANK_LINES.match(text, start):
         return None
     names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
-    body = _fill_missing_markers(body, delimiter)
-    body = _fill_empty_fields(body, delimiter)
+    body, at = text, start  # the text that holds the body, and where
+    for fill in (_fill_missing_markers, _fill_empty_fields):
+        filled = fill(body, at, delimiter)
+        if filled is not None:
+            body, at = filled, 0
     try:
-        table = np.loadtxt(
-            io.StringIO(body),
+        table = _load_body(
+            path,
+            stamp if body is text else None,
+            body,
+            at,
             delimiter=delimiter,
             usecols=(v_idx,) if t_idx is None else (t_idx, v_idx),
             comments=None,
@@ -548,8 +632,9 @@ def emit_plot_data(
     histogram.csv: bin_left, bin_right, count, density (Freedman-Diaconis
     bin count unless overridden); density.csv: x, pdf_bgev, pdf_gev on a
     512-point grid over the data range; qq_bgev.csv / qq_gev.csv:
-    theoretical, empirical, one pair per observation.  Every file is
-    ``csv_text`` written by ``write_text``, so output is byte-identical for
+    theoretical, empirical, one pair per observation.  Every file is a
+    header row and numpy columns given to ``csv_text``, which formats them
+    in blocks, written by ``write_text``, so output is byte-identical for
     fixed inputs.
     """
     out = Path(out_dir)
@@ -571,7 +656,7 @@ def emit_plot_data(
     written: list[Path] = []
     for name, (header, *columns) in tables.items():
         path = out / name
-        write_text(path, csv_text([header, *zip(*(c.tolist() for c in columns))]))
+        write_text(path, csv_text([header], columns))
         written.append(path)
     return written
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgev.cli import main
+from bgev.data import bundled_path
 from bgev.pipeline import START_PRESETS
 from tests.conftest import child_env
 
@@ -121,6 +122,23 @@ def test_fit_no_standardize_flag(tmp_path, capsys):
     )
     assert rc == 0
     assert "standardized,False" in out
+
+
+@pytest.mark.parametrize("days, lags", [(14, "6"), (21, "10")])
+def test_ljung_box_lags_lowered_on_a_short_series(tmp_path, capsys, days, lags):
+    # 10 lags need n >= 21; a shorter series of 8 or more blocks is still
+    # fitted, with the lags lowered to the most below n/2 and a note
+    hourly = bundled_path("bimodal").read_text(encoding="utf-8").splitlines(keepends=True)
+    series = tmp_path / "days.csv"
+    series.write_text("".join(hourly[: 1 + 24 * days]), encoding="utf-8")
+    values = tmp_path / "values.csv"
+    values.write_text("".join(line.split(",")[1] for line in hourly[1 : 1 + days]), encoding="utf-8")
+    note = f"note: Ljung-Box lags lowered from 10 to {lags}, the most below n/2 for n = {days}\n"
+    expect_note = note if lags != "10" else ""
+    rc, out, err = run_cli(["fit", "--input", str(series), "--out-dir", str(tmp_path / "out")], capsys)
+    assert rc == 0 and err == expect_note and out.startswith(f"blocks,{days}\n")
+    rc, out, err = run_cli(["gof", "--input", str(values), "--xi", "-0.25", "--mu", "-0.36", "--sigma", "1", "--delta", "2"], capsys)
+    assert rc == 0 and err == expect_note and f"ljung_box_lags,{lags}\n" in out
 
 
 def test_fit_missing_file(capsys):

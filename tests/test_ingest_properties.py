@@ -8,13 +8,15 @@ both garbage and near-valid series are drawn.
 
 ``ingest`` reads most files by one ``np.loadtxt`` call and hands the rest
 to the row parser ``_ingest_rows``; on any file the two agree exactly.
+That call reads a regular file itself, and any other input from the text
+already read; the two routes agree exactly as well.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bgev import InputDataError, SeriesFile, block_maxima, ingest
+from bgev import InputDataError, SeriesFile, block_maxima, ingest, pipeline
 from bgev.pipeline import _ingest_rows, _read
 
 FUZZ = settings(
@@ -126,4 +128,49 @@ def test_fast_path_equals_row_parser(tmp_path, data, missing, value_column, time
     f = tmp_path / "diff.csv"
     f.write_bytes(data)
     kw = dict(value_column=value_column, time_column=time_column, missing=missing)
-    assert outcome(lambda: ingest(f, **kw)) == outcome(lambda: _ingest_rows(f, *_read(f), **kw))
+    assert outcome(lambda: ingest(f, **kw)) == outcome(lambda: _ingest_rows(f, *_read(f)[:2], **kw))
+
+
+@FUZZ
+@given(
+    data=st.one_of(contents, text_contents, tables()),
+    missing=st.sampled_from(["skip", "fail"]),
+    value_column=st.one_of(st.none(), selectors),
+    time_column=st.one_of(st.none(), selectors),
+)
+def test_file_route_equals_text_route(tmp_path, monkeypatch, data, missing, value_column, time_column):
+    # the same outcome, and the row parser called on the same files
+    f = tmp_path / "route.csv"
+    f.write_bytes(data)
+    kw = dict(value_column=value_column, time_column=time_column, missing=missing)
+    parsed = []
+    monkeypatch.setattr(pipeline, "_ingest_rows", lambda *a, **k: parsed.append(1) or _ingest_rows(*a, **k))
+    by_file = outcome(lambda: ingest(f, **kw)), len(parsed)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "_stamp", lambda st: None)  # no file counts as a regular one
+        by_text = outcome(lambda: ingest(f, **kw)), len(parsed) - by_file[1]
+    assert by_file == by_text
+
+
+def fill_line_by_line(body: str, delimiter: str) -> str:
+    """The empty-field rule read plainly: in every line that holds the
+    delimiter, each empty field becomes "nan"."""
+    lines = body.split("\n")
+    return "\n".join(delimiter.join(f or "nan" for f in ln.split(delimiter)) if delimiter in ln else ln for ln in lines)
+
+
+@FUZZ
+@given(
+    body=st.text(alphabet=",\t\nx\xe9", max_size=80),
+    header=st.sampled_from(["", "t,v\n", "\n\n"]),
+    block=st.sampled_from([1, 2, 3, 5, pipeline._SCAN_CHARS]),
+    delimiter=st.sampled_from([",", "\t"]),
+)
+def test_empty_field_scan_in_blocks_equals_line_by_line(monkeypatch, body, header, block, delimiter):
+    monkeypatch.setattr(pipeline, "_SCAN_CHARS", block)
+    filled = pipeline._fill_empty_fields(header + body, len(header), delimiter)
+    expected = fill_line_by_line(body, delimiter)
+    if filled is None:
+        assert body == expected
+    else:
+        assert filled == expected != body

@@ -257,8 +257,9 @@ def test_fallback_when_likelihood_runs_off():
     assert res.iterations == mle._RETRY_STEPS
     assert res.n_eval > mle._NEWTON_MAX_STEPS + mle._RETRY_STEPS
     assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
-    # every count and the last iterate, pinned
-    assert (res.iterations, res.n_eval, res.neg2loglik) == (200, 270, 249.09736608008473)
+    # every count and the last iterate, pinned; its last step took the full
+    # Newton step, whose evaluation the fit reports rather than repeats
+    assert (res.iterations, res.n_eval, res.neg2loglik) == (200, 269, 249.09736608008473)
 
 
 def test_every_row_falls_back():
@@ -268,7 +269,7 @@ def test_every_row_falls_back():
     truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
     x, start = study_replicate(truth, 50, seed=34009, r=2)
     for res in mle.fit_mle_rows(np.array([x, x]), [start, start], SIGMA_FIXED):
-        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("step_cap", 200, 270, 249.09736608008473)
+        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("step_cap", 200, 269, 249.09736608008473)
     with pytest.raises(SimCellError, match="1/1 replicates failed"):
         run_cell(SimConfig(truth=truth, n=50, m=1, seed=10))
 

@@ -1,4 +1,7 @@
+import io
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -168,6 +171,62 @@ def test_ingest_reads_plain_files_column_wise(tmp_path, monkeypatch):
     assert series[3].values.tolist() == [1.0, 2.0] and series[3].time_column == "t"
 
 
+def spy_loadtxt(monkeypatch, paths=True) -> list:
+    """Record whether each ``np.loadtxt`` call reads a file by its path or
+    a text already read; with paths=False a path fails the test at once."""
+    calls = []
+    real = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        assert paths or isinstance(fname, io.StringIO), "loadtxt was handed a path"
+        calls.append("text" if isinstance(fname, io.StringIO) else "path")
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def test_ingest_reads_a_regular_file_by_its_path(tmp_path, monkeypatch):
+    loads = spy_loadtxt(monkeypatch)
+    plain = write(tmp_path, "plain.csv", "\n\nt,v\n1,1.5\n\n2,2.5\n")
+    filled = write(tmp_path, "filled.csv", "t,v\n1,1.5\n2,NA\n3,2.5\n")
+    series = [ingest(f) for f in (bundled_path("bimodal"), plain, filled)]
+    assert loads == ["path", "path", "text"]  # a body with a filled-in field is parsed from its text
+    assert series[1].values.tolist() == [1.5, 2.5] and series[1].rows.tolist() == [0, 1]
+    assert series[2].values.tolist() == [1.5, 2.5] and series[2].rows.tolist() == [0, 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_ingest_reads_a_fifo_from_its_text(tmp_path, monkeypatch):
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=("t,v\n1,1.5\n2,2.5\n3,-1\n",), kwargs={"encoding": "utf-8"}, daemon=True
+    )
+    writer.start()
+    loads = spy_loadtxt(monkeypatch, paths=False)  # a second open of the pipe would wait forever
+    s = ingest(fifo)
+    writer.join(timeout=10)
+    assert loads == ["text"]
+    assert s.values.tolist() == [1.5, 2.5, -1.0] and s.time_column == "t"
+
+
+def test_ingest_parses_the_text_read_when_the_file_changes(tmp_path, monkeypatch):
+    f = write(tmp_path, "moving.csv", "t,v\n1,1\n2,2\n3,3\n")
+    real = pipeline._read
+
+    def read_then_rewrite(path):
+        out = real(path)
+        write(tmp_path, "moving.csv", "t,v\n1,10\n2,20\n3,30\n4,40\n")
+        return out
+
+    monkeypatch.setattr(pipeline, "_read", read_then_rewrite)
+    loads = spy_loadtxt(monkeypatch)
+    s = ingest(f)
+    assert loads == ["path", "text"]  # the file was read, then found changed
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize(
     "body, value_column",
     [
@@ -189,7 +248,7 @@ def test_ingest_skips_missing_values_column_wise(tmp_path, monkeypatch, body, va
     calls = spy_row_parser(monkeypatch)
     s = ingest(f, value_column=value_column)
     assert calls == []
-    ref = pipeline._ingest_rows(f, *pipeline._read(f), value_column, None, "skip")
+    ref = pipeline._ingest_rows(f, *pipeline._read(f)[:2], value_column, None, "skip")
     assert (s.rows.tolist(), s.values.tobytes(), s.skipped) == (ref.rows.tolist(), ref.values.tobytes(), ref.skipped)
 
 
@@ -220,7 +279,7 @@ def test_ingest_falls_back_to_row_parser(tmp_path, monkeypatch, body, missing):
         s = None
     assert len(calls) == 1
     if s is not None:
-        ref = pipeline._ingest_rows(f, *pipeline._read(f), None, None, missing)
+        ref = pipeline._ingest_rows(f, *pipeline._read(f)[:2], None, None, missing)
         assert (s.rows.tolist(), s.values.tolist(), s.skipped) == (ref.rows.tolist(), ref.values.tolist(), ref.skipped)
 
 

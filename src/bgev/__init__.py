@@ -4,121 +4,74 @@ Evaluation, sampling, moments and mode structure of the BGEV family;
 maximum-likelihood fitting with analytic derivatives; goodness-of-fit
 statistics; a Monte Carlo estimator-quality harness; and a block-maxima
 pipeline with a command-line front end.
+
+The public names below are loaded from their submodules on first use
+(PEP 562), so ``import bgev`` itself imports neither numpy nor any
+submodule, and each command of the CLI loads only what it runs.
 """
 
-from .distribution import (
-    cdf,
-    critical_points,
-    logpdf,
-    moment,
-    pdf,
-    quantile,
-    sample,
-    sf,
-    support,
-    tail_index,
-)
-from .gev import gev_cdf, gev_mode, gev_pdf, gev_quantile
-from .gof import (
-    GofReport,
-    LjungBoxReport,
-    ad_statistic,
-    gof_report,
-    ks_statistic,
-    ljung_box,
-    qq_pairs,
-)
-from .incgamma import incomplete_gamma_lower, incomplete_gamma_upper
-from .likelihood import PARAM_ORDER, hessian, log_likelihood, score
-from .mle import (
-    FisherInformation,
-    FitResult,
-    InfeasibleStartError,
-    default_start,
-    fisher_information,
-    fit_mle,
-)
-from .params import (
-    BgevParams,
-    CriticalPoints,
-    Modality,
-    ParameterError,
-    Support,
-    SupportKind,
-)
-from .pipeline import (
-    BlockMaxima,
-    ComparisonReport,
-    InputDataError,
-    ModelAssessment,
-    SeriesFile,
-    block_maxima,
-    emit_plot_data,
-    fit_and_compare,
-    ingest,
-    standardize,
-)
-from .sim import SimConfig, SimReport, load_suite_config, run_cell, run_suite
-from .transform import transform_forward, transform_inverse
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BgevParams",
-    "Support",
-    "SupportKind",
-    "CriticalPoints",
-    "Modality",
-    "ParameterError",
-    "transform_forward",
-    "transform_inverse",
-    "gev_pdf",
-    "gev_cdf",
-    "gev_quantile",
-    "gev_mode",
-    "incomplete_gamma_lower",
-    "incomplete_gamma_upper",
-    "support",
-    "logpdf",
-    "pdf",
-    "cdf",
-    "sf",
-    "quantile",
-    "sample",
-    "critical_points",
-    "moment",
-    "tail_index",
-    "PARAM_ORDER",
-    "log_likelihood",
-    "score",
-    "hessian",
-    "FitResult",
-    "FisherInformation",
-    "InfeasibleStartError",
-    "fit_mle",
-    "fisher_information",
-    "default_start",
-    "GofReport",
-    "LjungBoxReport",
-    "ks_statistic",
-    "ad_statistic",
-    "ljung_box",
-    "qq_pairs",
-    "gof_report",
-    "SimConfig",
-    "SimReport",
-    "run_cell",
-    "run_suite",
-    "load_suite_config",
-    "SeriesFile",
-    "BlockMaxima",
-    "ComparisonReport",
-    "ModelAssessment",
-    "InputDataError",
-    "ingest",
-    "block_maxima",
-    "standardize",
-    "fit_and_compare",
-    "emit_plot_data",
-    "__version__",
-]
+# the public names, by the submodule that defines each
+_SUBMODULE_NAMES = {
+    "params": (
+        "BgevParams",
+        "Support",
+        "SupportKind",
+        "CriticalPoints",
+        "Modality",
+        "ParameterError",
+        "InputDataError",
+        "InfeasibleStartError",
+        "NotConvergedError",
+    ),
+    "transform": ("transform_forward", "transform_inverse"),
+    "gev": ("gev_pdf", "gev_cdf", "gev_quantile", "gev_mode"),
+    "incgamma": ("incomplete_gamma_lower", "incomplete_gamma_upper"),
+    "distribution": (
+        "support",
+        "logpdf",
+        "pdf",
+        "cdf",
+        "sf",
+        "quantile",
+        "sample",
+        "critical_points",
+        "moment",
+        "tail_index",
+    ),
+    "likelihood": ("PARAM_ORDER", "log_likelihood", "score", "hessian"),
+    "mle": ("FitResult", "FisherInformation", "fit_mle", "fisher_information", "default_start"),
+    "gof": ("GofReport", "LjungBoxReport", "ks_statistic", "ad_statistic", "ljung_box", "qq_pairs", "gof_report"),
+    "sim": ("SimConfig", "SimReport", "run_cell", "run_suite", "load_suite_config"),
+    "pipeline": (
+        "SeriesFile",
+        "BlockMaxima",
+        "ComparisonReport",
+        "ModelAssessment",
+        "ingest",
+        "block_maxima",
+        "standardize",
+        "fit_and_compare",
+        "emit_plot_data",
+    ),
+}
+_ORIGIN = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = [*_ORIGIN, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULE_NAMES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,23 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from .data import BUNDLED, bundled_path
-from .distribution import cdf, pdf, quantile, sample
-from .gof import ad_statistic, ks_statistic, ljung_box
-from .mle import InfeasibleStartError
-from .params import BgevParams, ParameterError, csv_text, write_text
-from .pipeline import (
+
+# the rest of bgev is imported by each command when it runs, so that a cold
+# start of one command loads no other command's modules
+from .params import (
     START_PRESETS,
+    BgevParams,
+    InfeasibleStartError,
     InputDataError,
     NotConvergedError,
-    block_maxima,
-    comparison_to_csv,
-    comparison_to_text,
-    emit_plot_data,
-    fit_and_compare,
-    ingest,
-    standardize,
+    ParameterError,
+    csv_text,
+    write_text,
 )
-from .sim import load_suite_config, reports_to_csv, reports_to_table, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,6 +63,8 @@ def _resolve_input(spec: str) -> str:
 def _ljung_box(x: np.ndarray, lags: int):
     """``ljung_box`` at ``lags``, lowered with a note on stderr to the most
     a series this short allows (lags < n/2)."""
+    from .gof import ljung_box
+
     most = (x.size - 1) // 2
     if lags > most >= 1:
         note = f"note: Ljung-Box lags lowered from {lags} to {most}, the most below n/2 for n = {x.size}"
@@ -76,6 +74,8 @@ def _ljung_box(x: np.ndarray, lags: int):
 
 
 def cmd_eval(args) -> int:
+    from .distribution import cdf, pdf, quantile
+
     p = _params_from(args)
     if args.x is None and args.q is None:
         raise InputDataError("nothing to evaluate: pass --x and/or --q")
@@ -89,6 +89,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .distribution import sample
+
     p = _params_from(args)
     text = csv_text(columns=[sample(args.n, p, args.seed)])
     if args.out:
@@ -99,6 +101,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gof(args) -> int:
+    from .distribution import cdf
+    from .gof import ad_statistic, ks_statistic
+    from .pipeline import ingest
+
     p = _params_from(args)
     series = ingest(_resolve_input(args.input), value_column=args.value_col, time_column=args.time_col)
     x = series.values
@@ -118,6 +124,18 @@ def cmd_gof(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .pipeline import (
+        block_maxima,
+        comparison_to_csv,
+        comparison_to_text,
+        emit_plot_data,
+        fit_and_compare,
+        ingest,
+        standardize,
+    )
+
+    if args.bins is not None and args.bins < 1:
+        raise InputDataError(f"--bins must be >= 1, got {args.bins}")
     series = ingest(
         _resolve_input(args.input),
         value_column=args.value_col,
@@ -160,6 +178,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    from .sim import load_suite_config, reports_to_csv, reports_to_table, run_suite
+
     cells = load_suite_config(args.config)
     reports, errors = run_suite(cells, parallelism=args.parallelism)
     table = reports_to_table(reports)
@@ -224,7 +244,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputDataError, FileNotFoundError, KeyError, ParameterError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its key: print the message itself
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (InputDataError, FileNotFoundError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InfeasibleStartError, NotConvergedError) as exc:

@@ -5,7 +5,6 @@ of the family; unimodal_hourly.csv from a plain GEV member.  Regenerate with
 ``python -m bgev.data.generate``.
 """
 
-from importlib import resources
 from pathlib import Path
 
 __all__ = ["bundled_path", "BUNDLED"]
@@ -16,4 +15,6 @@ BUNDLED = ("bimodal", "unimodal")
 def bundled_path(name: str) -> Path:
     if name not in BUNDLED:
         raise KeyError(f"unknown bundled series {name!r}; choose from {BUNDLED}")
-    return Path(resources.files(__package__) / f"{name}_hourly.csv")
+    # beside this file, as generate.py writes them; importlib.resources
+    # would cost a cold start its zipfile import for the same path
+    return Path(__file__).with_name(f"{name}_hourly.csv")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .distribution import sample
 from .likelihood import PARAM_ORDER, kernel, log_likelihood
-from .params import BgevParams
+from .params import BgevParams, InfeasibleStartError
 
 __all__ = [
     "FitResult",
@@ -48,10 +48,6 @@ _RETRY_STEPS = 200  # a retry still going after this many steps has not converge
 _ARMIJO = 1e-4  # sufficient-increase fraction of the predicted gain
 _MAX_HALVINGS = 40  # line-search step halvings before the step counts as failed
 _MAX_DAMPINGS = 20  # tenfold damping increases before the system counts as failed
-
-
-class InfeasibleStartError(ValueError):
-    """The starting point assigns zero likelihood to the data."""
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,27 @@ __all__ = [
     "CriticalPoints",
     "Modality",
     "ParameterError",
+    "InputDataError",
+    "InfeasibleStartError",
+    "NotConvergedError",
+    "START_PRESETS",
 ]
 
 
 class ParameterError(ValueError):
     """Raised when a parameter vector violates its admissibility constraints."""
+
+
+class InputDataError(ValueError):
+    """Malformed or unusable input data."""
+
+
+class InfeasibleStartError(ValueError):
+    """The starting point assigns zero likelihood to the data."""
+
+
+class NotConvergedError(RuntimeError):
+    """A fit did not converge, and the assessment of its end point failed."""
 
 
 # lines per ``%`` format of a column table: bounds the flat tuple of cells
@@ -82,6 +98,15 @@ class BgevParams:
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
         if self.delta <= -1.0:
             raise ParameterError(f"delta must be > -1, got {self.delta}")
+
+
+# named starting points for the two kinds of environmental series the
+# block-maxima pipeline was built around; "auto" derives a start from the
+# data instead
+START_PRESETS: dict[str, BgevParams] = {
+    "wind": BgevParams(xi=-0.5, mu=0.0, sigma=1.0, delta=0.5),
+    "temperature": BgevParams(xi=-0.25, mu=0.0, sigma=1.0, delta=0.5),
+}
 
 
 class SupportKind(Enum):

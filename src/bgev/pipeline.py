@@ -26,8 +26,16 @@ from .distribution import cdf as bgev_cdf
 from .distribution import pdf as bgev_pdf
 from .distribution import quantile as bgev_quantile
 from .gof import gof_report
-from .mle import FitResult, InfeasibleStartError, default_start, fit_mle
-from .params import BgevParams, csv_text, write_text
+from .mle import FitResult, default_start, fit_mle
+from .params import (
+    START_PRESETS,
+    BgevParams,
+    InfeasibleStartError,
+    InputDataError,
+    NotConvergedError,
+    csv_text,
+    write_text,
+)
 
 __all__ = [
     "InputDataError",
@@ -43,22 +51,6 @@ __all__ = [
     "fit_and_compare",
     "emit_plot_data",
 ]
-
-
-class InputDataError(ValueError):
-    """Malformed or unusable input data."""
-
-
-class NotConvergedError(RuntimeError):
-    """A fit did not converge, and the assessment of its end point failed."""
-
-
-# named starting points for the two kinds of environmental series this
-# pipeline was built around; "auto" derives a start from the data instead
-START_PRESETS: dict[str, BgevParams] = {
-    "wind": BgevParams(xi=-0.5, mu=0.0, sigma=1.0, delta=0.5),
-    "temperature": BgevParams(xi=-0.25, mu=0.0, sigma=1.0, delta=0.5),
-}
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ import numpy as np
 
 from .distribution import _UNIFORM_RANGE, quantile
 from .likelihood import kernel
-from .mle import InfeasibleStartError, _checked_space, fit_mle_rows
-from .params import BgevParams, csv_text
+from .mle import _checked_space, fit_mle_rows
+from .params import BgevParams, InfeasibleStartError, csv_text
 
 __all__ = [
     "FREE_PARAMS",

@@ -226,6 +226,16 @@ def test_fit_value_col_selectors(tmp_path, capsys):
 def test_fit_unknown_bundle(capsys):
     rc, _, err = run_cli(["fit", "--input", "bundled:mystery"], capsys)
     assert rc == 2
+    assert err == "error: unknown bundled series 'mystery'; choose from ('bimodal', 'unimodal')\n"
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_fit_rejects_bins_below_one_before_any_work(tmp_path, capsys, bins):
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(["fit", "--input", "bundled:bimodal", "--bins", bins, "--out-dir", str(out_dir)], capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: --bins must be >= 1, got {bins}\n"
+    assert not out_dir.exists()
 
 
 def test_sim_end_to_end(tmp_path, capsys):

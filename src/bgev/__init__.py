@@ -28,7 +28,7 @@ _SUBMODULE_NAMES = {
         "NotConvergedError",
     ),
     "transform": ("transform_forward", "transform_inverse"),
-    "gev": ("gev_pdf", "gev_cdf", "gev_quantile", "gev_mode"),
+    "gev": ("gev_cdf", "gev_quantile", "gev_mode"),
     "incgamma": ("incomplete_gamma_lower", "incomplete_gamma_upper"),
     "distribution": (
         "support",

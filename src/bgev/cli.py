@@ -92,7 +92,11 @@ def cmd_sample(args) -> int:
     from .distribution import sample
 
     p = _params_from(args)
-    text = csv_text(columns=[sample(args.n, p, args.seed)])
+    draws = sample(args.n, p, args.seed)
+    bad = int(np.count_nonzero(~np.isfinite(draws)))
+    if bad:
+        raise ArithmeticError(f"{bad} of {args.n} draws overflow a float (delta = {p.delta!r})")
+    text = csv_text(columns=[draws])
     if args.out:
         write_text(args.out, text)
     else:

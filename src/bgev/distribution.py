@@ -118,7 +118,8 @@ def sample(n: int, p: BgevParams, seed) -> np.ndarray:
 
     seed may be an integer or a ready-made numpy Generator; an integer always
     yields the same sequence.  Uniform variates are clipped away from 0 so the
-    quantile map stays finite.
+    GEV quantile stays finite; the power map can still overflow to +-inf
+    near delta = -1, where it raises that quantile to the power 1/(1+delta).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

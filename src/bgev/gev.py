@@ -1,17 +1,17 @@
 """Baseline generalized extreme value distribution with nonzero shape.
 
-All functions here take the shape xi != 0 explicitly.  ``gev_pdf``/``gev_cdf``/
+All functions here take the shape xi != 0 explicitly.  ``gev_cdf`` and
 ``gev_quantile`` accept a general scale; the unit-scale variants used as the
-building block of the BGEV composition are the defaults (sigma = 1).
-``gev_pdf`` is written apart from the likelihood kernel's terms, which
-``distribution.logpdf`` shares, and so serves as their reference in tests.
+building block of the BGEV composition are the defaults (sigma = 1).  The
+GEV density is the BGEV density at delta = 0 and sigma = 1
+(``distribution.pdf``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gev_pdf", "gev_cdf", "gev_quantile", "gev_mode"]
+__all__ = ["gev_cdf", "gev_quantile", "gev_mode"]
 
 
 def _kernel(x, xi: float, mu: float, sigma: float):
@@ -19,21 +19,6 @@ def _kernel(x, xi: float, mu: float, sigma: float):
     mask the rest."""
     x = np.asarray(x, dtype=float)
     return 1.0 + xi * (x - mu) / sigma
-
-
-def gev_pdf(x, xi: float, mu: float, sigma: float = 1.0):
-    """GEV density; zero outside the support."""
-    if xi == 0.0:
-        raise ValueError("xi must be nonzero")
-    u = _kernel(x, xi, mu, sigma)
-    out = np.zeros_like(u)
-    inside = u > 0.0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ui = u[inside]
-        e = np.exp(-(ui ** (-1.0 / xi)))
-        # e = 0 far in the tail, where the power factor may overflow
-        out[inside] = np.where(e == 0.0, 0.0, ui ** (-1.0 / xi - 1.0) * e) / sigma
-    return out if out.ndim else float(out)
 
 
 def gev_cdf(x, xi: float, mu: float, sigma: float = 1.0):

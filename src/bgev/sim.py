@@ -8,10 +8,9 @@ held at its true value during the refits, mirroring the three-parameter
 exactly the columns of the report.
 
 A suite fits all the cells of one (n, sigma) together: their replicates
-are stacked and refitted by one ``fit_mle_rows`` call, damped Newton on
-every replicate in lockstep, with the replicates that Newton cannot finish
-retried together with bounded steps.  A replicate whose fit did not reach
-Newton's stop in either run is dropped.  Each replicate's fit is exactly
+are stacked and refitted by one ``fit_mle_rows`` call, one trust-region
+Newton run on every replicate in lockstep.  A replicate whose fit did not
+reach Newton's stop is dropped.  Each replicate's fit is exactly
 the one ``fit_mle`` gives it alone, so the report of a cell is the same
 whichever cells share its fit, and ``run_cell`` is the one-cell case.
 Failures stay per cell: a cell whose draw fails or that loses more
@@ -100,7 +99,7 @@ class SimConfig:
 class SimReport:
     """Aggregates of one cell.  drops counts the failed replicates by cause:
     "infeasible_start", or "not_converged:step_cap" and
-    "not_converged:no_ascent" by how the fit's bounded retry ended.
+    "not_converged:no_ascent" by how the fit's run ended (``FitResult.stop``).
     wall_time is the time the ``run_cells`` call the cell ran in took to
     draw, start and fit all its cells, the same for every cell of that
     call.  Both are diagnostics: they take no part in

@@ -34,5 +34,6 @@ def transform_inverse(y, sigma: float, delta: float):
     """sign(y) * (|y|/sigma)**(1/(delta+1)), the inverse of transform_forward."""
     _check(sigma, delta)
     y = np.asarray(y, dtype=float)
-    out = np.sign(y) * (np.abs(y) / sigma) ** (1.0 / (delta + 1.0))
+    with np.errstate(over="ignore"):  # +-inf where the power overflows, as near delta = -1
+        out = np.sign(y) * (np.abs(y) / sigma) ** (1.0 / (delta + 1.0))
     return out if out.ndim else float(out)

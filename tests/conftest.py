@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 import bgev
-from bgev import BgevParams, gev_pdf, pdf, support, transform_forward
+from bgev import BgevParams, pdf, support, transform_forward
 
 
 def random_params(rng, xi_lo=0.15, xi_hi=1.0, delta_lo=-0.5, delta_hi=4.0, xi_sign=None):
@@ -41,6 +41,23 @@ def integrate_pdf(p: BgevParams, fn=None, epsabs=1e-12, epsrel=1e-10):
         )
         total += val
     return total
+
+
+def gev_pdf(x, xi: float, mu: float, sigma: float = 1.0):
+    """GEV density, zero outside the support: the reference for the
+    likelihood kernel's terms, which ``distribution.logpdf`` shares, so it
+    is written apart from them."""
+    if xi == 0.0:
+        raise ValueError("xi must be nonzero")
+    u = 1.0 + xi * (np.asarray(x, dtype=float) - mu) / sigma
+    out = np.zeros_like(u)
+    inside = u > 0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        ui = u[inside]
+        e = np.exp(-(ui ** (-1.0 / xi)))
+        # e = 0 far in the tail, where the power factor may overflow
+        out[inside] = np.where(e == 0.0, 0.0, ui ** (-1.0 / xi - 1.0) * e) / sigma
+    return out if out.ndim else float(out)
 
 
 def log_gev_factor(x, p: BgevParams):

@@ -22,7 +22,6 @@ from bgev import (
     critical_points,
     fit_and_compare,
     gev_cdf,
-    gev_pdf,
     gev_quantile,
     hessian,
     ingest,
@@ -40,7 +39,7 @@ from bgev import (
     tail_index,
 )
 from bgev.data import bundled_path
-from tests.conftest import integrate_pdf, random_params
+from tests.conftest import gev_pdf, integrate_pdf, random_params
 
 NAMES = ("mu", "sigma", "delta", "xi")
 

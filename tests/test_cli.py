@@ -195,18 +195,18 @@ def test_fit_no_standardize_overflowing_series_exits_2_without_warnings(tmp_path
 
 
 def test_fit_unconverged_fit_without_gof_exits_3(tmp_path, capsys):
-    # 285 Cauchy readings, fitted block by block and unstandardized: the GEV
-    # fit ends at the bounded retry's step cap, at an end point whose support
-    # leaves out the lowest reading, so its KS/AD cannot be computed.  That
+    # 300 readings in two tight clusters, fitted block by block: the BGEV
+    # fit ends where no step gains (no_ascent), at an end point whose cdf
+    # is 1 at the highest reading, so its KS/AD cannot be computed.  That
     # is the fit's non-convergence (exit 3), not an input error (exit 2)
-    data = tmp_path / "heavy.csv"
-    data.write_text("".join(f"{v!r}\n" for v in series_values("heavy", 285, 1.0, 1)), encoding="utf-8")
-    argv = ["fit", "--input", str(data), "--block-size", "1", "--no-standardize", "--out-dir", str(tmp_path / "out")]
+    data = tmp_path / "clusters.csv"
+    data.write_text("".join(f"{v!r}\n" for v in series_values("clusters", 300, 1.0, 15)), encoding="utf-8")
+    argv = ["fit", "--input", str(data), "--block-size", "1", "--out-dir", str(tmp_path / "out")]
     rc, _, err = run_cli(argv, capsys)
     assert rc == 3
     assert err == (
-        "error: the GEV fit did not converge (step_cap) and its KS/AD cannot be computed: "
-        "F(x) hit the boundary for observation x=-45.578751050340195 (rank 1, F=0.0)\n"
+        "error: the BGEV fit did not converge (no_ascent) and its KS/AD cannot be computed: "
+        "F(x) hit the boundary for observation x=0.9739388500449563 (rank 300, F=1.0)\n"
     )
 
 
@@ -439,3 +439,52 @@ def test_gof_fuzz_exits_with_a_code_never_a_traceback(text, law, lags):
         data = Path(tmp) / "series.csv"
         data.write_text(text, encoding="utf-8")
         assert_exits_cleanly([*argv, "--input", str(data)])
+
+
+def test_sample_overflow_near_delta_minus_one_exits_4():
+    # the power map raises the GEV quantile to the power 1e6 and overflows
+    # for 2 of these 5 draws: one line on stderr and no draws, not inf (a
+    # real child process, so numpy's RuntimeWarnings would reach stderr)
+    argv = ["sample", "--xi", "0.5", "--mu", "0", "--sigma", "1", "--delta", "-0.999999", "-n", "5", "--seed", "1"]
+    res = subprocess.run([sys.executable, "-m", "bgev.cli", *argv], capture_output=True, text=True, env=child_env())
+    assert res.returncode == 4 and res.stdout == ""
+    assert res.stderr == "numerical failure: 2 of 5 draws overflow a float (delta = -0.999999)\n"
+
+
+# parameter values across and beyond the admissible space, as the CLI takes
+# them: xi of either sign down to 1e-300 and 0, scales far from 1, delta up
+# to -1, and points and levels in the far tails, at the edges and outside
+LAW_VALUES = {
+    "xi": st.one_of(st.sampled_from(["0", "1e-300", "-1e-8", "1e-8", "5", "-5"]), st.floats(-3.0, 3.0).map(repr)),
+    "mu": st.one_of(st.sampled_from(["1e300", "-1e300"]), st.floats(-10.0, 10.0).map(repr)),
+    "sigma": st.sampled_from(["1", "0.5", "1e-300", "1e300", "0", "-1"]),
+    "delta": st.one_of(
+        st.sampled_from(["-1", "-0.999999", "-0.9999999999", "0", "50", "1e3"]), st.floats(-0.99, 4.0).map(repr)
+    ),
+}
+POINTS = st.one_of(st.sampled_from(["0", "1e300", "-1e300", "5e-324", "inf", "-inf", "nan"]), st.floats(-50.0, 50.0).map(repr))
+LEVELS = st.one_of(
+    st.sampled_from(["0", "1", "5e-324", "1e-300", "0.9999999999999999", "-0.5", "2", "nan"]), st.floats(0.0, 1.0).map(repr)
+)
+
+
+def law_flags(draw) -> list[str]:
+    return [f"--{key}={draw(values)}" for key, values in LAW_VALUES.items()]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_eval_fuzz_exits_with_a_code_never_a_traceback(data):
+    argv = ["eval", *law_flags(data.draw)]
+    if data.draw(st.booleans()):
+        argv.append(f"--x={data.draw(POINTS)}")
+    if data.draw(st.booleans()):
+        argv.append(f"--q={data.draw(LEVELS)}")
+    assert_exits_cleanly(argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sample_fuzz_exits_with_a_code_never_a_traceback(data):
+    argv = ["sample", *law_flags(data.draw), f"-n={data.draw(st.integers(1, 40))}"]
+    assert_exits_cleanly([*argv, f"--seed={data.draw(st.integers(0, 2**16))}"])

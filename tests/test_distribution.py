@@ -11,7 +11,6 @@ from bgev import (
     critical_points,
     gev_cdf,
     gev_mode,
-    gev_pdf,
     gev_quantile,
     ks_statistic,
     moment,
@@ -25,7 +24,7 @@ from bgev import (
     transform_inverse,
 )
 from bgev.params import SupportKind
-from tests.conftest import central_diff, integrate_pdf, random_params
+from tests.conftest import central_diff, gev_pdf, integrate_pdf, random_params
 
 P_GEV1 = BgevParams(xi=1.0, mu=0.0, sigma=1.0, delta=0.0)
 

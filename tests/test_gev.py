@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bgev import gev_cdf, gev_mode, gev_pdf, gev_quantile
+from bgev import gev_cdf, gev_mode, gev_quantile
+from tests.conftest import gev_pdf
 
 
 def golden_section_argmax(f, a, b, tol=1e-6):

@@ -3,14 +3,13 @@ import pytest
 
 from bgev import (
     BgevParams,
-    gev_pdf,
     hessian,
     log_likelihood,
     sample,
     score,
 )
 from bgev.likelihood import kernel
-from tests.conftest import log_density_oracle, random_params
+from tests.conftest import gev_pdf, log_density_oracle, random_params
 
 NAMES = ("mu", "sigma", "delta", "xi")
 

@@ -183,7 +183,7 @@ def test_infeasible_theta_gives_sentinels(case, overshoot, at_origin):
 @given(params, st.integers(8, 60), st.integers(0, 2**32 - 1), st.floats(-50.0, 50.0))
 def test_no_runtime_warnings(p, n, seed, mu_shift):
     # feasible and infeasible evaluations alike, at data spanning the whole
-    # support and at shifted locations (the probes a line search makes)
+    # support and at shifted locations (the trial steps a fit makes)
     x = sample(n, p, seed)
     probe = BgevParams(mu=p.mu + mu_shift, sigma=p.sigma, delta=p.delta, xi=p.xi)
     with warnings.catch_warnings():
@@ -273,9 +273,9 @@ def test_batched_rows_equal_rows_alone(cells, n, overshoot):
 @PROPERTY
 @given(rows_of_a_cell, st.integers(8, 60), st.floats(1e-6, 2.0), st.booleans())
 def test_log_likelihood_is_the_same_bits_at_every_order(cells, n, overshoot, tails):
-    # a line search accepts a probe on its order-0 ll and may carry the
-    # order-2 evaluation of the same point into the next Newton step, so
-    # the two must agree bit for bit: in one call over mixed rows, row by
+    # a fit accepts a start on its order-0 ll and reports the start's
+    # order-2 evaluation where it stops at once, so the two must agree bit
+    # for bit: in one call over mixed rows, row by
     # row alone, and on data drawn by sample, whose uniforms reach 1e-300
     # and 1 - 1e-16 (the far tails), as well as on interior data
     draw = (lambda p, seed: sample(n, p, seed)) if tails else (lambda p, seed: interior_sample(p, n, seed))

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_cell_is_a_one_point_grid(tmp_path):
 
 
 # the mc_study cell whose replicate r = 2 has no interior maximum with sigma
-# pinned: Newton fails and its bounded retry stops at its step cap
+# pinned: its fit is still climbing a ridge at the step cap
 RUNAWAY = SimConfig(truth=BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5), n=50, m=20, seed=34009)
 STUDY = SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=250, m=20, seed=1)
 
@@ -291,6 +292,25 @@ def test_drops_name_the_cause_and_stay_out_of_outputs():
     # a diagnostic like wall_time: no part of equality or of the output files
     assert rep == replace(rep, drops={}, wall_time=0.0)
     assert "step_cap" not in reports_to_csv([rep]) + reports_to_table([rep])
+
+
+# perfbench's mc_study suite (perfbench/inputs.write_suite): four truths at
+# three sizes, m = 20, cell seed 1000*s + idx at workload seed s
+MC_STUDY = list(product(((1.0, -1.0, 0.0), (0.5, 0.0, 2.0), (-0.25, 0.0, 2.0), (0.25, 1.0, -0.5)), (50, 250, 1000)))
+
+
+def test_mc_study_seeds_drop_only_the_runaway_replicate():
+    # the optimizer's drop gate, 12,000 fits: over workload seeds 0-49 the
+    # only replicate that drops is RUNAWAY's r = 2, which has no interior
+    # maximum (test_fallback_when_likelihood_runs_off)
+    cells = [
+        SimConfig(truth=BgevParams(xi=xi, mu=mu, sigma=1.0, delta=delta), n=n, m=20, seed=1000 * s + idx)
+        for s in range(50)
+        for idx, ((xi, mu, delta), n) in enumerate(MC_STUDY)
+    ]
+    reports, errors = run_suite(cells)
+    assert not errors
+    assert {c.seed: r.drops for c, r in zip(cells, reports) if r.failures} == {RUNAWAY.seed: {"not_converged:step_cap": 1}}
 
 
 def test_drops_count_infeasible_starts(monkeypatch):
@@ -465,9 +485,8 @@ def test_batched_starts_equal_each_cell_alone():
 
 
 # the results.csv text of a small mixed suite, one cell with a step_cap
-# drop, written by the code before the per-cell quantile map, the batched
-# starts and the carried line-search evaluation: a change that claims to
-# keep every fit must keep these bytes
+# drop, as the trust-region optimizer first wrote it: a change that claims
+# to keep every fit must keep these bytes
 GOLDEN_CELLS = [
     replace(RUNAWAY, m=5),
     SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=1.0, delta=0.0), n=250, m=5, seed=1),
@@ -476,10 +495,10 @@ GOLDEN_CELLS = [
 ]
 GOLDEN_CSV = """\
 xi,mu,sigma,delta,n,m,seed,mean_xi,mean_mu,mean_delta,bias_xi,bias_mu,bias_delta,mse_xi,mse_mu,mse_delta,failures
-0.25,1,1,-0.5,50,5,34009,0.082992585080679165,1.0752591679247607,-0.53045458252266053,-0.16700741491932083,0.075259167924760728,-0.030454582522660534,0.058798609251131798,0.017029037173205273,0.004307796265370571,1
-1,-1,1,0,250,5,1,1.0104371992652856,-0.99309177648937597,-0.0095429319260751325,0.010437199265285635,0.0069082235106240342,-0.0095429319260751325,0.0013703314081415635,0.0025708302955697107,0.0045113911141804837,0
-0.5,0,1,1,50,5,2,0.62184126694520347,0.025326226904301936,1.1337910547074324,0.12184126694520347,0.025326226904301936,0.13379105470743236,0.085636038629798392,0.014820754579213271,0.12903150728095955,0
--0.25,0,1,2,250,5,3,-0.27627332293112578,-0.015674167246297062,1.9085243932174485,-0.026273322931125775,-0.015674167246297062,-0.091475606782551511,0.0034790562369767047,0.0050018716410271157,0.018681699081098662,0
+0.25,1,1,-0.5,50,5,34009,0.082987385445909861,1.0752591572609731,-0.53045595572052062,-0.16701261455409014,0.075259157260973097,-0.030455955720520622,0.058799877126548467,0.017029033573797359,0.0043080780660306748,1
+1,-1,1,0,250,5,1,1.0104372204045071,-0.99309178347094296,-0.0095428396073466183,0.010437220404507119,0.006908216529057043,-0.0095428396073466183,0.0013703341237546736,0.0025708575418118425,0.0045114154858530969,0
+0.5,0,1,1,50,5,2,0.62184643551435603,0.02532826979998188,1.1337964974526435,0.12184643551435603,0.02532826979998188,0.13379649745264355,0.085635903344597669,0.014821274385161509,0.12903318742890607,0
+-0.25,0,1,2,250,5,3,-0.27627372812791984,-0.015673673346109356,1.908520640241218,-0.026273728127919838,-0.015673673346109356,-0.091479359758781964,0.0034791890505513853,0.005001840095482153,0.018683522856528682,0
 """
 
 

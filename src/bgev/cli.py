@@ -105,7 +105,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gof(args) -> int:
-    from .distribution import cdf
+    from .distribution import cdf, sf
     from .gof import ad_statistic, ks_statistic
     from .pipeline import ingest
 
@@ -113,7 +113,7 @@ def cmd_gof(args) -> int:
     series = ingest(_resolve_input(args.input), value_column=args.value_col, time_column=args.time_col)
     x = series.values
     ks = ks_statistic(x, lambda v: cdf(v, p))
-    ad = ad_statistic(x, lambda v: cdf(v, p))
+    ad = ad_statistic(x, lambda v: cdf(v, p), lambda v: sf(v, p))
     lb = _ljung_box(x, args.ljung_box_lags)
     rows = [
         ("n", x.size),

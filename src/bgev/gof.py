@@ -47,24 +47,30 @@ def ks_statistic(x, cdf) -> float:
     return float(np.max(np.maximum(i / n - f, f - (i - 1) / n)))
 
 
-def ad_statistic(x, cdf) -> float:
+def ad_statistic(x, cdf, sf=None) -> float:
     """Anderson-Darling statistic A^2.
 
     A^2 = -n - (1/n) * sum_i (2i-1) * [log F(x_(i)) + log(1 - F(x_(n+1-i)))].
-    Raises when any F(x_(i)) lands exactly on 0 or 1, reporting which
-    observation did it.
+    With the survival function ``sf``, log(1 - F) is log sf where F rounds
+    to 1.  Raises when any F(x_(i)) lands exactly on 0, or on 1 without a
+    positive sf, reporting which observation did it.
     """
     xs = _sorted_sample(x)
     n = xs.size
     f = np.asarray(cdf(xs), dtype=float)
-    on_boundary = (f <= 0.0) | (f >= 1.0)
+    top = f >= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # where F >= 1: replaced, or raised on
+        log_sf = np.log1p(-f)
+        if sf is not None and top.any():
+            log_sf[top] = np.log(sf(xs[top]))
+    on_boundary = (f <= 0.0) | (top & ~(log_sf > -np.inf))
     if np.any(on_boundary):
         j = int(np.argmax(on_boundary))
         raise ValueError(
             f"F(x) hit the boundary for observation x={float(xs[j])} (rank {j + 1}, F={float(f[j])})"
         )
     i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * (np.log(f) + np.log1p(-f[::-1])))
+    s = np.sum((2 * i - 1) * (np.log(f) + log_sf[::-1]))
     return float(-n - s / n)
 
 
@@ -129,11 +135,11 @@ class GofReport:
     qq: np.ndarray
 
 
-def gof_report(x, cdf, quantile) -> GofReport:
+def gof_report(x, cdf, quantile, sf=None) -> GofReport:
     xs = _sorted_sample(x)
     return GofReport(
         ks=ks_statistic(xs, cdf),
-        ad=ad_statistic(xs, cdf),
+        ad=ad_statistic(xs, cdf, sf),
         n=xs.size,
         qq=qq_pairs(xs, quantile),
     )

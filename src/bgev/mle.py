@@ -66,8 +66,8 @@ class FitResult:
     predicts no gain or no longer moves the iterate, a start outside the
     parameter space, or a non-finite derivative at the start).  iterations
     counts the trial steps, taken or not, and n_eval every likelihood
-    evaluation the fit made: the feasibility check, the start and each
-    trial that stayed in the parameter space.
+    evaluation the fit made: 1 for the start, which is also its feasibility
+    test, plus each trial that stayed in the parameter space.
     """
 
     theta_hat: BgevParams
@@ -238,10 +238,10 @@ def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray):
     return out, ok, theta
 
 
-def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
-    """Trust-region Newton ascent of the samples x[rows] of the data x
-    (M, n), each from its free internal start, a row of z (m, k), all in
-    lockstep (Nocedal & Wright, *Numerical Optimization*, Algorithm 4.1).
+def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
+    """Trust-region Newton ascent of each sample, a row of x (m, n), from
+    its free internal start, the same row of z (m, k), all in lockstep
+    (Nocedal & Wright, *Numerical Optimization*, Algorithm 4.1).
 
     Each row takes exactly the path it takes alone: its step, its stop and
     its radius are decided on its own numbers.  A row stops at the first
@@ -255,34 +255,34 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
     held to the radius doubles it.  A trial that leaves the parameter
     space, or whose derivatives are not finite, is rejected without
     counting as an evaluation in the first case.  A row fails when its
-    start's derivatives are not finite or its start lies outside the space,
-    when its step predicts no gain or no longer moves it, or when it is
-    still running after _MAX_STEPS trials.
+    start's log-likelihood or derivatives are not finite or its start lies
+    outside the space, when its step predicts no gain or no longer moves
+    it, or when it is still running after _MAX_STEPS trials.
 
     Returns (theta, ll, h, steps, evals, done): each row's final parameter
     row (m, 4), where it stopped or else its last iterate; the
-    log-likelihoods (m,) and Hessians (m, 4, 4) there; each row's trial
-    count and likelihood evaluations, its start's included; and the mask of
-    rows that stopped rather than failed.  The arrays of the rows still
-    running are kept compact, and compacted again only when rows leave;
-    the data are never compacted: the kernel gathers the running rows of x
-    a chunk at a time.
+    log-likelihoods (m,) and Hessians (m, 4, 4) there (ll -inf at an
+    infeasible start); each row's trial count and likelihood evaluations,
+    its start's included; and the mask of rows that stopped rather than
+    failed.  The arrays of the rows still running are kept compact, and
+    compacted again only when rows leave; the data are never compacted:
+    the kernel gathers the running rows of x a chunk at a time.
     """
     m = len(z)
     theta_out, inside = space.natural(z)
-    ll_out, g, h_out = kernel(theta_out, x, 2, rows)
+    ll_out, g, h_out = kernel(theta_out, x, 2)
     evals = np.ones(m, dtype=int)
     steps = np.full(m, _MAX_STEPS)
     done = np.zeros(m, dtype=bool)
     free, block = space.free, space.free_block
-    # the running rows: original row, free internal and natural
-    # coordinates, row of x, the iterate's evaluation, and the radius
+    # the running rows: row of x, free internal and natural coordinates,
+    # the iterate's evaluation, and the radius
     idx, z, theta, ll, h = np.arange(m), z.copy(), theta_out.copy(), ll_out.copy(), h_out.copy()
     radius = np.full(m, _RADIUS)
     live = inside & _finite_rows(g) & _finite_rows(h)
     if False in live.tolist():
         steps[~live] = 0
-        idx, z, rows, theta, ll, g, h, radius = (a[live] for a in (idx, z, rows, theta, ll, g, h, radius))
+        idx, z, theta, ll, g, h, radius = (a[live] for a in (idx, z, theta, ll, g, h, radius))
     for step in range(_MAX_STEPS):
         if not idx.size:
             break
@@ -297,11 +297,11 @@ def _newton(x: np.ndarray, rows: np.ndarray, z: np.ndarray, space: _Space):
             gone = idx[leave]
             theta_out[gone], ll_out[gone], h_out[gone], steps[gone] = theta[leave], ll[leave], h[leave], step
             go = ~leave
-            idx, z, rows, theta, ll, g, h, radius = (a[go] for a in (idx, z, rows, theta, ll, g, h, radius))
+            idx, z, theta, ll, g, h, radius = (a[go] for a in (idx, z, theta, ll, g, h, radius))
             s, z_try, pred, boundary = s[go], z_try[go], pred[go], boundary[go]
             if not idx.size:
                 break
-        (ll_try, g_try, h_try), evaluated, theta_try = _probe(space, z_try, x, rows)
+        (ll_try, g_try, h_try), evaluated, theta_try = _probe(space, z_try, x, idx)
         evals[idx] += evaluated
         ok = evaluated & np.isfinite(ll_try) & _finite_rows(g_try) & _finite_rows(h_try)
         gain = np.where(ok, ll_try - ll, -np.inf)
@@ -365,9 +365,6 @@ def _subset(x: np.ndarray, rows: list[int]) -> np.ndarray:
     return x if len(rows) == len(x) else x[rows]
 
 
-_INFEASIBLE = "starting parameters give zero likelihood (data outside their support)"
-
-
 def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitResult:
     """Maximize the BGEV log-likelihood from the given start.
 
@@ -394,38 +391,35 @@ def fit_mle_rows(
     start, with one trust-region Newton run for all rows in lockstep.
 
     Entry r is the fit of row r from starts[r], or the InfeasibleStartError
-    its start raises; it is bitwise the fit of row r alone.  A fit that did
-    not converge reports its last iterate with the log-likelihood and
-    Hessian the run evaluated there.  Errors shared by all rows (too few
+    its start raises; it is bitwise the fit of row r alone.  The run's own
+    evaluation of the starts is the feasibility test: a start whose
+    log-likelihood is not finite is that error.  A fit that did not
+    converge reports its last iterate with the log-likelihood and Hessian
+    the run evaluated there.  Errors shared by all rows (too few
     observations, non-finite data, bad fixed names or values) raise.
+    x may be a read-only view, such as one sample broadcast to m rows.
     """
     x = np.asarray(x, dtype=float)
     space = _checked_space(x, fixed)
     starts = [replace(start, **space.fixed) for start in starts]
-    theta0 = np.array([[s.mu, s.sigma, s.delta, s.xi] for s in starts]).reshape(-1, 4)
-    feasible = np.isfinite(kernel(theta0, x, 0))
-    out: list = [None if ok else InfeasibleStartError(_INFEASIBLE) for ok in feasible.tolist()]
-    rows = np.flatnonzero(feasible)
-    if not rows.size:
-        return out
-    z0 = np.array([_to_internal(starts[r]) for r in rows.tolist()])[:, space.free]
-    theta, ll, h, steps, evals, done = _newton(x, rows, z0, space)
-    evals += 1  # the feasibility check
-    info = _information(h, space)
-    for j, r in enumerate(rows.tolist()):
-        fim, std = info[j]
-        out[r] = FitResult(
-            theta_hat=space.params(theta[j]),
-            neg2loglik=-2.0 * float(ll[j]),
-            converged=bool(done[j]),
-            iterations=int(steps[j]),
+    z0 = np.array([_to_internal(s) for s in starts]).reshape(-1, 4)[:, space.free]
+    theta, ll, h, steps, evals, done = _newton(x, z0, space)
+    return [
+        InfeasibleStartError("starting parameters give zero likelihood (data outside their support)")
+        if ll[r] == -np.inf
+        else FitResult(
+            theta_hat=space.params(theta[r]),
+            neg2loglik=-2.0 * float(ll[r]),
+            converged=bool(done[r]),
+            iterations=int(steps[r]),
             fim=fim,
             std_errors=std,
             start=starts[r],
-            n_eval=int(evals[j]),
-            stop="newton" if done[j] else "step_cap" if steps[j] == _MAX_STEPS else "no_ascent",
+            n_eval=int(evals[r]),
+            stop="newton" if done[r] else "step_cap" if steps[r] == _MAX_STEPS else "no_ascent",
         )
-    return out
+        for r, (fim, std) in enumerate(_information(h, space))
+    ]
 
 
 def _median(x: np.ndarray) -> float:
@@ -440,23 +434,19 @@ def _median(x: np.ndarray) -> float:
 def default_start(x) -> BgevParams:
     """Data-driven starting point: shape sign from the sample skewness,
     location matched to the sample median, unit transform scale, delta 0.
-    The shape is shrunk toward zero until the whole sample is feasible."""
+    The shape is the first of 0.1, 0.05, ... (0.1 halved up to nine times)
+    and 1e-4 at which the whole sample is feasible; InfeasibleStartError is
+    raised when there is none (a sample far off the unit scale, say)."""
     x = np.asarray(x, dtype=float)
     med = _median(x.ravel())
     # the sign of the third central moment, of the sample scaled into [-1, 1]
     # so that its powers cannot overflow
     z = x / max(float(np.max(np.abs(x))), np.finfo(float).tiny)
-    xi0 = 0.1 if float(np.mean((z - np.mean(z)) ** 3)) >= 0 else -0.1
-    for _ in range(60):
-        mu0 = med - ((math.log(2.0)) ** (-xi0) - 1.0) / xi0
-        cand = BgevParams(xi=xi0, mu=mu0, sigma=1.0, delta=0.0)
+    sign = 1.0 if float(np.mean((z - np.mean(z)) ** 3)) >= 0 else -1.0
+    for xi0 in (*(sign * 0.1 * 0.5**k for k in range(10)), sign * 1e-4):
+        cand = BgevParams(xi=xi0, mu=med - ((math.log(2.0)) ** (-xi0) - 1.0) / xi0, sigma=1.0, delta=0.0)
         if np.isfinite(log_likelihood(cand, x)):
             return cand
-        xi0 *= 0.5
-        if abs(xi0) < 1e-4:
-            xi0 = math.copysign(1e-4, xi0)
-            mu0 = med - ((math.log(2.0)) ** (-xi0) - 1.0) / xi0
-            return BgevParams(xi=xi0, mu=mu0, sigma=1.0, delta=0.0)
     raise InfeasibleStartError("could not construct a feasible default start")
 
 

@@ -25,8 +25,9 @@ import numpy as np
 from .distribution import cdf as bgev_cdf
 from .distribution import pdf as bgev_pdf
 from .distribution import quantile as bgev_quantile
+from .distribution import sf as bgev_sf
 from .gof import gof_report
-from .mle import FitResult, default_start, fit_mle
+from .mle import FitResult, default_start, fit_mle, fit_mle_rows
 from .params import (
     START_PRESETS,
     BgevParams,
@@ -507,7 +508,7 @@ class ComparisonReport:
 def _assess(name: str, fit: FitResult, x: np.ndarray, as_gev: bool) -> ModelAssessment:
     th = fit.theta_hat
     try:
-        gof = gof_report(x, lambda v: bgev_cdf(v, th), lambda q: bgev_quantile(q, th))
+        gof = gof_report(x, lambda v: bgev_cdf(v, th), lambda q: bgev_quantile(q, th), lambda v: bgev_sf(v, th))
     except ValueError as exc:
         if fit.converged:
             raise
@@ -547,9 +548,10 @@ def fit_and_compare(b: BlockMaxima, bgev_start: BgevParams | None = None) -> Com
     """Fit both models to the block maxima and collect KS/AD/-2l per model.
 
     The GEV fit pins delta to 0 and starts from a moment match; the BGEV fit
-    is run from its own start (default_start unless given) and again from
-    the GEV solution, keeping the better optimum, so a converged BGEV never
-    scores worse than the nested GEV.  A fit that fails to converge is
+    is one ``fit_mle_rows`` call from its own start (default_start unless
+    given; left out where infeasible or where default_start finds none) and
+    from the GEV solution, keeping the better optimum, so a converged BGEV
+    never scores worse than the nested GEV.  A fit that fails to converge is
     reported as such without aborting the other model, unless KS/AD cannot
     be computed at its end point, which raises NotConvergedError.
     """
@@ -559,15 +561,16 @@ def fit_and_compare(b: BlockMaxima, bgev_start: BgevParams | None = None) -> Com
     except InfeasibleStartError:
         gev_fit = fit_mle(x, default_start(x), {"delta": 0.0})
 
-    b0 = bgev_start or default_start(x)
-    candidates: list[FitResult] = []
+    # warm start at the GEV optimum, whose pinned delta is exactly 0.0
+    starts = [gev_fit.theta_hat]
     try:
-        candidates.append(fit_mle(x, b0))
+        starts.insert(0, bgev_start or default_start(x))
     except InfeasibleStartError:
         pass
-    # warm start at the GEV optimum, whose pinned delta is exactly 0.0
-    candidates.append(fit_mle(x, gev_fit.theta_hat))
-    bgev_fit = min(candidates, key=lambda r: r.neg2loglik)
+    fits = fit_mle_rows(np.broadcast_to(x, (len(starts), x.size)), starts)
+    if isinstance(fits[-1], InfeasibleStartError):
+        raise fits[-1]
+    bgev_fit = min((f for f in fits if isinstance(f, FitResult)), key=lambda r: r.neg2loglik)
 
     bgev_row = _assess("BGEV", bgev_fit, x, as_gev=False)
     gev_row = _assess("GEV", gev_fit, x, as_gev=True)

@@ -210,6 +210,21 @@ def test_fit_unconverged_fit_without_gof_exits_3(tmp_path, capsys):
     )
 
 
+def test_fit_far_reading_keeps_ad_finite(tmp_path, capsys):
+    # 400 Cauchy readings, fitted block by block: the GEV fit converges,
+    # but its cdf rounds to exactly 1 at the largest reading (sf ~ 1e-17),
+    # so AD takes log sf there rather than exiting 2 as if the input were bad
+    data = tmp_path / "heavy.csv"
+    data.write_text("".join(f"{v!r}\n" for v in series_values("heavy", 400, 1.0, 1)), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = ["fit", "--input", str(data), "--block-size", "1", "--no-standardize", "--out-dir", str(out_dir)]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    rows = [line.split(",") for line in (out_dir / "comparison.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[-1]) for r in rows] == [("BGEV", "True"), ("GEV", "True")]
+    assert all(math.isfinite(float(r[6])) for r in rows)
+
+
 def test_fit_value_col_selectors(tmp_path, capsys):
     outputs = []
     for sel in ("1", "value"):

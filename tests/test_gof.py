@@ -15,6 +15,7 @@ from bgev import (
     qq_pairs,
     quantile,
     sample,
+    sf,
 )
 
 UNIFORM_CDF = lambda v: np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
@@ -79,6 +80,29 @@ def test_ad_boundary_error_reports_observation():
     x = np.array([-0.5, 0.2, 0.7])
     with pytest.raises(ValueError, match="-0.5"):
         ad_statistic(x, UNIFORM_CDF)
+
+
+def test_ad_takes_log_sf_where_f_rounds_to_one():
+    # a far reading of a heavy right tail: F rounds to exactly 1 there, but
+    # sf does not round to 0, so AD stays finite with log sf in that term
+    # alone; where no F rounds to 1, sf changes no bit of AD
+    p = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=0.0)
+    law_cdf, law_sf = (lambda v: cdf(v, p)), (lambda v: sf(v, p))
+    x = sample(200, p, seed=4)
+    assert ad_statistic(x, law_cdf, law_sf) == ad_statistic(x, law_cdf)
+    far = np.append(x, 1e10)
+    assert cdf(1e10, p) == 1.0 and 0.0 < sf(1e10, p) < 1e-16
+    with pytest.raises(ValueError, match="rank 201, F=1.0"):
+        ad_statistic(far, law_cdf)
+    # the textbook sum with log sf in every term
+    xs = np.sort(far)
+    i = np.arange(1, xs.size + 1)
+    expected = -xs.size - np.sum((2 * i - 1) * (np.log(cdf(xs, p)) + np.log(sf(xs, p))[::-1])) / xs.size
+    assert ad_statistic(far, law_cdf, law_sf) == pytest.approx(expected, rel=1e-12)
+    assert gof_report(far, law_cdf, lambda q: quantile(q, p), law_sf).ad == ad_statistic(far, law_cdf, law_sf)
+    # an sf of 0 there is still the boundary
+    with pytest.raises(ValueError, match="rank 201, F=1.0"):
+        ad_statistic(far, law_cdf, lambda v: np.zeros_like(v))
 
 
 # ----------------------------------------------------------------------- Ljung-Box

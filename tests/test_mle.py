@@ -268,8 +268,8 @@ def test_convergence_certificate(x, fixed):
     # refitted from its estimate stops at once, at the same estimate, with
     # a positive definite information matrix on the free parameters; an
     # unconverged one ends no lower in log-likelihood than its start
-    start = default_start(x)
     try:
+        start = default_start(x)
         res = fit_mle(x, start, fixed)
     except InfeasibleStartError:
         return
@@ -289,10 +289,10 @@ def test_newton_finish_diagnostics():
     res = fit_mle(x, truth, SIGMA_FIXED)
     assert res.converged and res.stop == "newton"
     assert 0 < res.iterations < 50
-    # the feasibility check, the start's evaluation with derivatives and one
-    # evaluation of each trial step, which an accepted trial carries into
-    # the next iterate
-    assert res.n_eval == 2 + res.iterations
+    # the start's evaluation with derivatives, which is also its
+    # feasibility test, and one evaluation of each trial step, which an
+    # accepted trial carries into the next iterate
+    assert res.n_eval == 1 + res.iterations
 
 
 def test_fallback_when_likelihood_runs_off():
@@ -305,11 +305,10 @@ def test_fallback_when_likelihood_runs_off():
     assert not res.converged and res.stop == "step_cap"
     assert res.iterations == mle._MAX_STEPS
     assert res.neg2loglik <= -2.0 * log_likelihood(start, x)
-    # every count and the last iterate, pinned: the feasibility check, the
-    # start and each trial that stayed in the parameter space were
-    # evaluated once, and the last iterate's evaluation is reported, not
-    # repeated
-    assert (res.iterations, res.n_eval, res.neg2loglik) == (250, 252, 246.76652451712246)
+    # every count and the last iterate, pinned: the start and each trial
+    # that stayed in the parameter space were evaluated once, and the last
+    # iterate's evaluation is reported, not repeated
+    assert (res.iterations, res.n_eval, res.neg2loglik) == (250, 251, 246.76652451712246)
 
 
 def test_every_row_falls_back():
@@ -319,7 +318,7 @@ def test_every_row_falls_back():
     truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
     x, start = study_replicate(truth, 50, seed=34009, r=2)
     for res in mle.fit_mle_rows(np.array([x, x]), [start, start], SIGMA_FIXED):
-        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("step_cap", 250, 252, 246.76652451712246)
+        assert (res.stop, res.iterations, res.n_eval, res.neg2loglik) == ("step_cap", 250, 251, 246.76652451712246)
     with pytest.raises(SimCellError, match="1/1 replicates failed"):
         run_cell(SimConfig(truth=truth, n=50, m=1, seed=10))
 
@@ -367,6 +366,51 @@ def test_fit_far_from_the_data_scale(c):
     res = fit_mle(c * y, default_start(c * y))
     assert unit.converged and res.converged and res.stop == "newton"
     assert res.neg2loglik - 2 * y.size * math.log(c) == pytest.approx(unit.neg2loglik, abs=1e-6)
+
+
+@pytest.mark.parametrize("c", [1e3, 1e6])
+def test_default_start_raises_where_no_shape_is_feasible(c):
+    # the unstandardized bundled bimodal daily maxima times c: at sigma = 1
+    # the lower tail underflows at every shape default_start tries, down to
+    # xi = 1e-4, so it has no feasible start to return
+    y = np.asarray(pipeline.block_maxima(pipeline.ingest(str(bundled_path("bimodal"))), 24).maxima)
+    with pytest.raises(InfeasibleStartError):
+        default_start(c * y)
+
+
+def same_fit(a, b) -> bool:
+    """Every field of two FitResults, bit for bit."""
+    fields = [replace(f, fim=None, std_errors=None) for f in (a, b)]
+    arrays = [None if v is None else v.tobytes() for f in (a, b) for v in (f.fim, f.std_errors)]
+    return fields[0] == fields[1] and arrays[:2] == arrays[2:]
+
+
+def test_infeasible_starts_are_the_errors_of_their_rows(monkeypatch):
+    # the run's own evaluation of the starts, at order 2, is the one
+    # feasibility test: in one call mixing feasible and infeasible starts,
+    # exactly the infeasible rows are InfeasibleStartError, every other row
+    # is bitwise its fit alone, and the kernel is never called at order 0
+    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
+    reps = [study_replicate(truth, 50, seed=28, r=r) for r in range(6)]
+    bad = BgevParams(xi=5.0, mu=2.0, sigma=1.0, delta=-0.5)
+    starts = [bad if r in (1, 4) else s for r, (_, s) in enumerate(reps)]
+    assert [r for r, ((x, _), s) in enumerate(zip(reps, starts)) if log_likelihood(s, x) == -np.inf] == [1, 4]
+    orders = []
+    real = mle.kernel
+
+    def spy(theta, x, order=2, at=None):
+        orders.append(order)
+        return real(theta, x, order, at)
+
+    monkeypatch.setattr(mle, "kernel", spy)
+    fits = mle.fit_mle_rows(np.array([x for x, _ in reps]), starts, SIGMA_FIXED)
+    assert set(orders) == {2}
+    monkeypatch.undo()
+    assert [r for r, f in enumerate(fits) if isinstance(f, InfeasibleStartError)] == [1, 4]
+    for r in (0, 2, 3, 5):
+        assert same_fit(fits[r], fit_mle(reps[r][0], starts[r], SIGMA_FIXED))
+    with pytest.raises(InfeasibleStartError):
+        fit_mle(reps[1][0], bad, SIGMA_FIXED)
 
 
 def count_kernel_rows(monkeypatch) -> list[int]:

@@ -3,17 +3,21 @@ import math
 import os
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bgev import (
     BgevParams,
+    InfeasibleStartError,
     InputDataError,
     block_maxima,
     cdf,
+    default_start,
     emit_plot_data,
     fit_and_compare,
+    fit_mle,
     ingest,
     sample,
     standardize,
@@ -406,6 +410,37 @@ def test_nesting_on_bundled_data():
     rep = fit_and_compare(b, bgev_start=START_PRESETS["wind"])
     assert rep.bgev.neg2loglik <= rep.gev.neg2loglik + 1e-6
     assert rep.bgev.ks < rep.gev.ks
+
+
+@pytest.mark.parametrize("scale", [None, 1e3], ids=["standardized", "times_1e3"])
+def test_bgev_row_is_the_better_of_two_separate_fits(monkeypatch, scale):
+    # the BGEV fit is one fit_mle_rows call from default_start and the GEV
+    # optimum, and its row is bitwise the better of the two fits made
+    # alone.  On the unstandardized maxima times 1e3 default_start finds
+    # no feasible start, and the GEV optimum is fitted alone
+    b = block_maxima(ingest(bundled_path("bimodal")), 24)
+    b = standardize(b) if scale is None else replace(b, maxima=scale * b.maxima)
+    x = b.maxima
+    gev = fit_mle(x, pipeline._gev_moment_start(x), {"delta": 0.0})
+    alone = [fit_mle(x, gev.theta_hat)]
+    if scale is None:
+        alone.insert(0, fit_mle(x, default_start(x)))
+    else:
+        with pytest.raises(InfeasibleStartError):
+            default_start(x)
+    best = min(alone, key=lambda r: r.neg2loglik)
+    calls = []
+    real = pipeline.fit_mle_rows
+
+    def spy(x, starts, fixed=None):
+        calls.append(len(starts))
+        return real(x, starts, fixed)
+
+    monkeypatch.setattr(pipeline, "fit_mle_rows", spy)
+    rep = fit_and_compare(b)
+    assert calls == [len(alone)]
+    assert rep.bgev.params_internal == best.theta_hat and rep.bgev.neg2loglik == best.neg2loglik
+    assert rep.bgev.converged == best.converged and rep.gev.params_internal == gev.theta_hat
 
 
 # ----------------------------------------------------------------------- plot data

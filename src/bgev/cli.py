@@ -252,8 +252,11 @@ def main(argv=None) -> int:
         # str() of a KeyError is the repr of its key: print the message itself
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputDataError, FileNotFoundError, ParameterError) as exc:
+    except (InputDataError, OSError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # an allocation a flag asks for, such as --bins or -n
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
     except (InfeasibleStartError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

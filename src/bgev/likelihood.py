@@ -79,11 +79,11 @@ def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray):
     return L, w, t, d, psi, u, a
 
 
-def _sums(theta: np.ndarray, x: np.ndarray, order: int):
+def _sums(theta: np.ndarray, x: np.ndarray, derivatives: bool):
     """The row sums of the batched kernel on one chunk: theta (m, 4), x (m, n).
 
-    Returns the sums s of the per-observation terms, and by order the
-    products of P (d psi / d theta per observation) that ``_assemble``
+    Returns the sums s of the per-observation terms, and with derivatives
+    the products of P (d psi / d theta per observation) that ``_assemble``
     needs: P @ f_psi, then (P * f_psipsi) @ P.T and P @ f_psixi.  Each is a
     reduction along a row or a product of one row's matrices.  Call under
     ``np.errstate(all="ignore")``.
@@ -93,9 +93,9 @@ def _sums(theta: np.ndarray, x: np.ndarray, order: int):
     # reduction gives them all: L, u, a; f_xi, f_psi; f_xixi, and f_psi
     # times psi's second derivatives w, w*L, t*L and t*L**2 (the second
     # and fourth without their factor xi)
-    q = np.empty((m, (3, 5, 10)[order], n))
+    q = np.empty((m, 10 if derivatives else 3, n))
     L, w, t, d, psi, u, a = log_density_terms(theta, x, q)
-    if order == 0:
+    if not derivatives:
         return (q.sum(axis=2),)
     v = theta[:, 3:]  # xi, broadcast along the rows of x
     v2 = v * v
@@ -109,17 +109,14 @@ def _sums(theta: np.ndarray, x: np.ndarray, order: int):
     np.divide(u * one_a, v2, out=q[:, 3])  # f_xi
     v_psi = v * psi
     f_psi = np.divide(a - 1.0 - v, v_psi, out=q[:, 4])
-    if order == 2:
-        b = one_a + u * a / v  # shared by f_xixi and f_psixi
-        np.divide(u * (one_a + b), -(v2 * v), out=q[:, 5])  # f_xixi
-        np.multiply(f_psi, w, out=q[:, 6])
-        np.multiply(q[:, 6], L, out=q[:, 7])
-        np.multiply(f_psi, tl, out=q[:, 8])
-        np.multiply(q[:, 8], L, out=q[:, 9])
+    b = one_a + u * a / v  # shared by f_xixi and f_psixi
+    np.divide(u * (one_a + b), -(v2 * v), out=q[:, 5])  # f_xixi
+    np.multiply(f_psi, w, out=q[:, 6])
+    np.multiply(q[:, 6], L, out=q[:, 7])
+    np.multiply(f_psi, tl, out=q[:, 8])
+    np.multiply(q[:, 8], L, out=q[:, 9])
     s = q.sum(axis=2)
     pf = np.matmul(p, f_psi[:, :, None])[:, :, 0]
-    if order == 1:
-        return s, pf
     f_psipsi = (1.0 + v) * (v - a) / v_psi**2
     c = np.matmul(p * f_psipsi[:, None, :], p.transpose(0, 2, 1))
     return s, pf, c, np.matmul(p, (b / (v2 * psi))[:, :, None])[:, :, 0]  # P @ f_psixi
@@ -142,8 +139,6 @@ def _assemble(theta: np.ndarray, n: int, s: np.ndarray, pf=None, c=None, pfx=Non
     g[:, 2] += n / (1.0 + dl) + s[:, 0]
     g[:, 3] += s[:, 3]
     g[bad] = np.nan
-    if c is None:
-        return ll, g
     # one triangle, added with its transpose so that H is exactly
     # symmetric: the explicit xi dependence of f in row 3 (so twice on the
     # diagonal) and the off-diagonal second derivatives of psi
@@ -164,7 +159,8 @@ def _assemble(theta: np.ndarray, n: int, s: np.ndarray, pf=None, c=None, pfx=Non
 def kernel(theta, x, order: int = 2, rows=None):
     """Log-likelihood and, by ``order``, its derivatives from one pass.
 
-    order 0 returns ll, order 1 (ll, g), order 2 (ll, g, H).  With
+    order 0 returns ll, order 1 (ll, g), order 2 (ll, g, H); order 1 is
+    order 2 without its H, so its g is order 2's bit for bit.  With
     w = x*|x|**delta, L = log|x|, t = sigma*w and psi = 1 + xi*(t - mu), the
     log-likelihood is n*log(sigma) + n*log(1+delta) + delta*sum(L) + sum(f)
     with f = -(1 + 1/xi)*log(psi) - psi**(-1/xi).  g and H follow from the
@@ -193,11 +189,13 @@ def kernel(theta, x, order: int = 2, rows=None):
     chunk = (lambda i: x[i : i + per]) if rows is None else (lambda i: x[rows[i : i + per]])
     with np.errstate(all="ignore"):
         if len(theta) <= per:
-            sums = _sums(theta, chunk(0), order)
+            sums = _sums(theta, chunk(0), order > 0)
         else:
-            parts = [_sums(theta[i : i + per], chunk(i), order) for i in range(0, len(theta), per)]
+            parts = [_sums(theta[i : i + per], chunk(i), order > 0) for i in range(0, len(theta), per)]
             sums = [np.concatenate(v) for v in zip(*parts)]
         out = _assemble(theta, x.shape[1], *sums)
+    if order == 1:
+        out = out[:2]
     if not alone:
         return out
     if order == 0:

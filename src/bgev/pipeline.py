@@ -181,63 +181,53 @@ def _has_long_line(text: str, limit: int) -> bool:
     return False
 
 
-# characters per block of the empty-field scan: its byte and mask arrays
-# stay this small however long the file
+# characters per block of the missing-field scan: its byte and mask arrays
+# stay about this small however long the file
 _SCAN_CHARS = 1 << 18
 
 
-def _fill_empty_fields(text: str, start: int, delimiter: str) -> str | None:
-    """``text[start:]`` with "nan" in every empty field of a line that has
-    a delimiter, or None where no field is empty; a blank line stays blank.
-    A field is empty where two field edges (a delimiter or a line end) are
-    adjacent and one of them is a delimiter; a scan of the UTF-8 bytes
-    finds them all, since no continuation byte equals a delimiter or a line
-    end.  The scan takes ``_SCAN_CHARS`` characters at a time, each block
-    after the character before it."""
-    filled = {}  # block start: the block with its empty fields filled
-    for lo in range(start, len(text), _SCAN_CHARS):
-        hi = min(lo + _SCAN_CHARS, len(text))
-        before = text[lo - 1] if lo > start else "\n"
-        b = (before + text[lo:hi] + ("\n" if hi == len(text) else "")).encode()
+def _fill_missing(text: str, start: int, delimiter: str) -> str | None:
+    """``text[start:]`` with "nan" in every missing field, or None where
+    no field is missing; ``start`` is 0 or follows a line end.  A field is
+    missing where it is empty in a line that has a delimiter (a blank line
+    stays blank) or where it is a whole ``NA`` or ``#N/A``, the markers R
+    and spreadsheets write.  Field edges are the delimiter and the line
+    ends, with one before the body and one after the text: an empty field
+    lies between two adjacent edges, one of them a delimiter, and a marker
+    between two edges around an "N".  One numpy scan of the UTF-8 bytes
+    finds both, since no continuation byte equals an ASCII one.  It takes a
+    block of whole lines at a time, each ending at the first line end at or
+    after ``_SCAN_CHARS`` characters, so no field straddles two blocks."""
+    filled, bounds = {}, [start]  # block start: the block filled in; block bounds
+    while bounds[-1] < len(text):
+        lo = bounds[-1]
+        hi = text.find("\n", lo + _SCAN_CHARS - 1) + 1 or len(text)
+        bounds.append(hi)
+        # a line end before the block and one after it, then two bytes more
+        # for the look-ahead past a final "N"
+        b = ("\n" + text[lo:hi] + "\n\n\n").encode()
         u = np.frombuffer(b, np.uint8)
         sep = u == ord(delimiter)
         edge = u == ord("\n")
         edge |= sep
         pairs = np.flatnonzero(edge[:-1] & edge[1:])  # empty fields and blank lines
-        gaps = (pairs[sep[pairs] | sep[pairs + 1]] + 1).tolist()
-        if gaps:
-            cuts, view = [len(before.encode()), *gaps, len(b) - (hi == len(text))], memoryview(b)
-            filled[lo] = b"nan".join(view[i:j] for i, j in zip(cuts, cuts[1:])).decode()
+        starts = ends = pairs[sep[pairs] | sep[pairs + 1]] + 1  # each empty field is a cut
+        if b"N" in b:  # each whole marker is a cut that drops its bytes
+            n = np.flatnonzero(u == ord("N"))
+            na = n[u[n + 1] == ord("A")]
+            na = na[edge[na - 1] & edge[na + 2]]
+            hs = n[u[n + 1] == ord("/")] - 1  # where a "#N/A" would start
+            # hs - 1 wraps at hs = 0 only, whose byte is the line end put first
+            hs = hs[(u[hs] == ord("#")) & (u[hs + 3] == ord("A")) & edge[hs - 1] & edge[hs + 4]]
+            if na.size or hs.size:
+                starts = np.sort(np.concatenate([starts, na, hs]))
+                ends = np.sort(np.concatenate([ends, na + 2, hs + 4]))
+        if starts.size:  # the block's bytes between one cut's end and the next one's start
+            kept, view = zip([1, *ends.tolist()], [*starts.tolist(), len(b) - 3]), memoryview(b)
+            filled[lo] = b"nan".join(view[i:j] for i, j in kept).decode()
     if not filled:
         return None
-    return "".join(filled.get(lo) or text[lo : lo + _SCAN_CHARS] for lo in range(start, len(text), _SCAN_CHARS))
-
-
-# whole fields that R and spreadsheets write for a missing value; the row
-# parser skips them as non-numbers
-_MISSING_MARKERS = ("NA", "#N/A")
-
-
-def _fill_missing_markers(text: str, start: int, delimiter: str) -> str | None:
-    """``text[start:]`` with "nan" in every field that is one of
-    ``_MISSING_MARKERS``, or None where there is none.  Each holds an "N",
-    which ``str.find`` finds fast, so a file with few of them is not copied
-    field by field.  ``start`` is 0 or follows a line end."""
-    edges = ("", delimiter, "\n")
-    out, pos = [], start
-    i = text.find("N", start)
-    while i >= 0:
-        for tok in _MISSING_MARKERS:
-            first = i - tok.index("N")
-            end = first + len(tok)
-            if first < pos or not text.startswith(tok, first):
-                continue
-            if text[first - 1 : first] in edges and text[end : end + 1] in edges:  # a whole field
-                out += [text[pos:first], "nan"]
-                pos = end
-                break
-        i = text.find("N", i + 1)
-    return "".join(out) + text[pos:] if out else None
+    return "".join(filled.get(lo) or text[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
 
 def ingest(
@@ -259,12 +249,13 @@ def ingest(
     A file that cannot be read or parsed raises InputDataError.
 
     The body below the header is read column-wise by one ``np.loadtxt``
-    call, with each empty, ``NA`` or ``#N/A`` field read as nan; under
-    "skip" such a value or a non-finite one is skipped there as the row
-    parser would skip it.  That call reads the file itself, in chunks and
-    past the lines above the body, when the file is a regular one, the body
-    needed no field filled in, and the file's inode, size and modification
-    time are after the parse what they were when it was read; a pipe or
+    call, with each empty, ``NA`` or ``#N/A`` field read as the nan that
+    one scan of the body (``_fill_missing``) writes in; under "skip" such
+    a value or a non-finite one is skipped there as the row parser would
+    skip it.  That call reads the file itself, in chunks and past the lines
+    above the body, when the file is a regular one, the body needed no
+    field filled in, and the file's inode, size and modification time are
+    after the parse what they were when it was read; a pipe or
     ``/dev/stdin``, a filled-in body, a compressed-file name or a file
     changed in between is parsed from the text already read.
 
@@ -331,14 +322,13 @@ def _ingest_columns(
         return None
     names, v_idx, t_idx = _columns(first_row, has_header, value_column, time_column)
     body, at = text, start  # the text that holds the body, and where
-    for fill in (_fill_missing_markers, _fill_empty_fields):
-        filled = fill(body, at, delimiter)
-        if filled is not None:
-            body, at = filled, 0
+    filled = _fill_missing(text, start, delimiter)
+    if filled is not None:
+        body, at, stamp = filled, 0, None  # parsed from the filled text
     try:
         table = _load_body(
             path,
-            stamp if body is text else None,
+            stamp,
             body,
             at,
             delimiter=delimiter,

@@ -415,22 +415,23 @@ def load_suite_config(path: str) -> list[SimConfig]:
     sigma (default 1), m (default 100) and seed (default 0) one value each,
     and cells are expanded in xi-outer, mu, delta, n-inner order with seeds
     seed, seed+1, ...  A ``[cell NAME]`` section is a one-point grid: the
-    same keys, one value each.  A file configparser cannot read (a
-    duplicate section or key, no section header) raises ValueError naming
-    the file; any other fault raises ValueError (ParameterError for an
-    inadmissible truth) naming the file and the section, and the key where
-    there is one: an unknown section kind, a missing xi, mu, delta or n, an
-    empty value, a value that is not a finite number (an integer for n, m
-    and seed), several values where one is allowed, or a value SimConfig
-    or BgevParams rejects.  Values take no ``%`` interpolation.
+    same keys, one value each.  A file that cannot be opened raises
+    open's OSError, which names the path and the reason.  A file that is
+    not UTF-8 or that configparser cannot read (a duplicate section or key,
+    no section header) raises ValueError naming the file; any other fault
+    raises ValueError (ParameterError for an inadmissible truth) naming the
+    file and the section, and the key where there is one: an unknown
+    section kind, a missing xi, mu, delta or n, an empty value, a value
+    that is not a finite number (an integer for n, m and seed), several
+    values where one is allowed, or a value SimConfig or BgevParams
+    rejects.  Values take no ``%`` interpolation.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {' '.join(str(exc).split())}") from exc
-    if not read:
-        raise FileNotFoundError(path)
     cells: list[SimConfig] = []
     for section in parser.sections():
         sec = parser[section]

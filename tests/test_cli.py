@@ -77,6 +77,32 @@ def test_sample_to_file(tmp_path, capsys):
     assert len(out_file.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "command, target, message, says",
+    [
+        pytest.param(
+            ["sample", *PARAMS, "-n", "1000000000000", "--seed", "1"],
+            "bgev.distribution.sample",
+            "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64",
+            "error: Unable to allocate 7.28 TiB",
+            id="sample-n",
+        ),
+        pytest.param(
+            ["fit", "--input", "bundled:bimodal", "--bins", "1000000000000"], "numpy.histogram", "", "error: out of memory",
+            id="fit-bins",
+        ),
+    ],
+)
+def test_allocation_a_flag_asks_for_exits_2_in_one_line(tmp_path, monkeypatch, capsys, command, target, message, says):
+    def refuse(*args, **kwargs):  # in place of the allocation, which the test never makes
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, refuse)
+    monkeypatch.chdir(tmp_path)  # fit writes its outputs here
+    rc, _, err = run_cli(command, capsys)
+    assert rc == 2 and err.startswith(says) and err.count("\n") == 1
+
+
 def test_gof_on_generated_sample(tmp_path, capsys):
     from bgev import BgevParams, sample
 
@@ -282,6 +308,13 @@ def test_sim_deterministic_outputs(tmp_path, capsys):
 def test_sim_missing_config(capsys):
     rc, _, err = run_cli(["sim", "--config", "/does/not/exist.ini"], capsys)
     assert rc == 2
+    assert err == "error: [Errno 2] No such file or directory: '/does/not/exist.ini'\n"
+
+
+def test_sim_config_directory_exits_2_naming_it(tmp_path, capsys):
+    rc, _, err = run_cli(["sim", "--config", str(tmp_path), "--out-dir", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert err.startswith("error: [Errno ") and err.endswith(f"{str(tmp_path)!r}\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -153,22 +153,28 @@ def test_file_route_equals_text_route(tmp_path, monkeypatch, data, missing, valu
 
 
 def fill_line_by_line(body: str, delimiter: str) -> str:
-    """The empty-field rule read plainly: in every line that holds the
-    delimiter, each empty field becomes "nan"."""
-    lines = body.split("\n")
-    return "\n".join(delimiter.join(f or "nan" for f in ln.split(delimiter)) if delimiter in ln else ln for ln in lines)
+    """The missing-field rule read plainly: each whole ``NA`` or ``#N/A``
+    field, and in every line that holds the delimiter each empty field,
+    becomes "nan"."""
+    def fill(field: str, line: str) -> str:
+        return "nan" if field in ("NA", "#N/A") or not field and delimiter in line else field
+
+    return "\n".join(delimiter.join(fill(f, ln) for f in ln.split(delimiter)) for ln in body.split("\n"))
 
 
 @FUZZ
 @given(
-    body=st.text(alphabet=",\t\nx\xe9", max_size=80),
-    header=st.sampled_from(["", "t,v\n", "\n\n"]),
+    # markers, their parts and near misses among empty fields and text
+    body=st.lists(st.sampled_from([",", "\t", "\n", "x", "\xe9", "N", "A", "#", "/", "NA", "#N/A"]), max_size=40).map(
+        "".join
+    ),
+    header=st.sampled_from(["", "t,v\n", "\n\n", "NA,#N/A\n"]),
     block=st.sampled_from([1, 2, 3, 5, pipeline._SCAN_CHARS]),
     delimiter=st.sampled_from([",", "\t"]),
 )
-def test_empty_field_scan_in_blocks_equals_line_by_line(monkeypatch, body, header, block, delimiter):
+def test_missing_field_scan_in_blocks_equals_line_by_line(monkeypatch, body, header, block, delimiter):
     monkeypatch.setattr(pipeline, "_SCAN_CHARS", block)
-    filled = pipeline._fill_empty_fields(header + body, len(header), delimiter)
+    filled = pipeline._fill_missing(header + body, len(header), delimiter)
     expected = fill_line_by_line(body, delimiter)
     if filled is None:
         assert body == expected

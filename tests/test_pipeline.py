@@ -200,6 +200,29 @@ def test_ingest_reads_a_regular_file_by_its_path(tmp_path, monkeypatch):
     assert series[2].values.tolist() == [1.5, 2.5] and series[2].rows.tolist() == [0, 2]
 
 
+@pytest.mark.parametrize("block", [1, pipeline._SCAN_CHARS], ids=["block-per-line", "one-block"])
+@pytest.mark.parametrize("end", ["", "\n"], ids=["no-newline", "newline"])
+@pytest.mark.parametrize("marker", ["NA", "#N/A"])
+def test_ingest_reads_a_marker_ending_a_block_column_wise(tmp_path, monkeypatch, marker, end, block):
+    # the last field of the text, and with a block per line the last field of every block
+    monkeypatch.setattr(pipeline, "_SCAN_CHARS", block)
+    f = write(tmp_path, "end.csv", f"t,v\n1,1.5\n2,{marker}\n3,2.5\n4,{marker}{end}")
+    calls, loads = spy_row_parser(monkeypatch), spy_loadtxt(monkeypatch)
+    s = ingest(f)
+    assert calls == [] and loads == ["text"]
+    assert s.values.tolist() == [1.5, 2.5] and s.rows.tolist() == [0, 2] and s.skipped == 2
+
+
+def test_ingest_reads_a_text_column_full_of_n_column_wise(tmp_path, monkeypatch):
+    # an "N" on every row and no marker: nothing is filled in
+    f = write(tmp_path, "station.csv", "hour,value,station\n" + "".join(f"{i},{i % 7}.5,NORTH\n" for i in range(60)))
+    calls, loads = spy_row_parser(monkeypatch), spy_loadtxt(monkeypatch)
+    s = ingest(f, value_column="value")
+    assert calls == [] and loads == ["path"]
+    ref = pipeline._ingest_rows(f, *pipeline._read(f)[:2], "value", None, "skip")
+    assert (s.rows.tolist(), s.values.tobytes(), s.time_column) == (ref.rows.tolist(), ref.values.tobytes(), "hour")
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 def test_ingest_reads_a_fifo_from_its_text(tmp_path, monkeypatch):
     fifo = tmp_path / "series.fifo"

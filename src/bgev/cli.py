@@ -156,8 +156,6 @@ def cmd_fit(args) -> int:
     start = None if args.start_preset == "auto" else START_PRESETS[args.start_preset]
     report = fit_and_compare(b, bgev_start=start)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     text = comparison_to_text(report)
     header = csv_text(
         [
@@ -168,9 +166,13 @@ def cmd_fit(args) -> int:
             ("ljung_box_p_value", lb.p_value),
         ]
     )
-    write_text(out_dir / "report.txt", header + text)
-    write_text(out_dir / "comparison.csv", comparison_to_csv(report))
+    table = comparison_to_csv(report)
+    # the plot data is computed in full before it writes any file, and the
+    # report files after it, so that a failure leaves no partial output
+    out_dir = Path(args.out_dir)
     emit_plot_data(report, b, out_dir, bins=args.bins)
+    write_text(out_dir / "report.txt", header + text)
+    write_text(out_dir / "comparison.csv", table)
 
     sys.stdout.write(header)
     sys.stdout.write(text)
@@ -184,6 +186,8 @@ def cmd_fit(args) -> int:
 def cmd_sim(args) -> int:
     from .sim import load_suite_config, reports_to_csv, reports_to_table, run_suite
 
+    if args.parallelism < 1:
+        raise InputDataError(f"--parallelism must be >= 1, got {args.parallelism}")
     cells = load_suite_config(args.config)
     reports, errors = run_suite(cells, parallelism=args.parallelism)
     table = reports_to_table(reports)

@@ -160,104 +160,55 @@ def _stationarity_y(y: np.ndarray, p: BgevParams) -> np.ndarray:
     return g
 
 
-def _bisect_y(p: BgevParams, a: float, b: float, fa: float) -> float:
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if (b - a) <= 1e-12 * max(abs(a), abs(b), 1.0):
-            return m
-        fm = float(_stationarity_y(np.asarray(m), p))
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
 def critical_points(p: BgevParams) -> CriticalPoints:
-    """Stationary points of the density and a unimodal/bimodal verdict.
+    """Critical points of the density, the stationary points and, for
+    delta != 0, the origin, with a unimodal/bimodal verdict.
 
-    Roots of the stationarity equation are bracketed on a 1024-point
+    Sign changes of the stationarity function are bracketed on a 1024-point
     geometric grid of the GEV-kernel variable covering the central 1 - 1e-12
-    quantile range, then refined by bisection; x = 0 is appended when
-    delta >= 2 and the origin lies strictly inside the support (there the
-    Jacobian and its derivative both vanish, so the density has a flat
-    point).  Classification
-    counts local maxima among the returned points; DEGENERATE flags any shape
-    the procedure could not resolve.
+    quantile range and bisected all together.  The origin, when the support
+    holds it, is the Jacobian's zero (density 0, delta > 0) or pole (density
+    unbounded, delta < 0).  A point is a maximum when its density is at
+    least that at both of its fences, the midpoints to its neighbours and a
+    far point beyond each end; DEGENERATE flags any count of maxima other
+    than one or two.
     """
     sup = support(p)
-    pts = []
     if p.delta == 0.0:
         # plain GEV composed with a linear map: the only stationary point is
         # the preimage of the GEV mode (interior for xi > -1)
-        if p.xi > -1.0:
-            x = transform_inverse(gev_mode(p.xi, p.mu), p.sigma, p.delta)
-            if sup.contains(x):
-                pts.append(float(x))
+        x = np.array([transform_inverse(gev_mode(p.xi, p.mu), p.sigma, 0.0)] if p.xi > -1.0 else [])
     else:
-        eps_q = 1e-12
-        y_lo_q = (-math.log(eps_q)) ** (-p.xi)
-        y_hi_q = (-math.log1p(-eps_q)) ** (-p.xi)
-        lo, hi = min(y_lo_q, y_hi_q), max(y_lo_q, y_hi_q)
-
-        ys = np.geomspace(lo, hi, _CRITICAL_GRID)
+        # the GEV-kernel values at the quantile levels 1e-12 and 1 - 1e-12
+        ends = (-math.log(1e-12)) ** -p.xi, (-math.log1p(-1e-12)) ** -p.xi
+        ys = np.geomspace(min(ends), max(ends), _CRITICAL_GRID)
         gs = _stationarity_y(ys, p)
-        ok = np.isfinite(gs)
-
-        roots_y: list[float] = []
-        for i in range(len(ys) - 1):
-            if not (ok[i] and ok[i + 1]):
-                continue
-            if gs[i] == 0.0:
-                roots_y.append(float(ys[i]))
-            elif gs[i] * gs[i + 1] < 0.0:
-                roots_y.append(_bisect_y(p, float(ys[i]), float(ys[i + 1]), float(gs[i])))
-        if gs[-1] == 0.0 and ok[-1]:
-            roots_y.append(float(ys[-1]))
-
-        for y in roots_y:
-            t = p.mu + (y - 1.0) / p.xi
-            x = transform_inverse(t, p.sigma, p.delta)
-            if sup.contains(x):
-                pts.append(float(x))
-    if p.delta >= 2.0 and sup.contains(0.0):
-        pts.append(0.0)
-
-    pts = sorted(pts)
-    merged: list[float] = []
-    for x in pts:
-        if merged and abs(x - merged[-1]) <= 1e-9 * max(1.0, abs(x)):
-            continue
-        merged.append(x)
-
-    if not merged:
+        sign = np.where(np.isfinite(gs), np.sign(gs), np.nan)  # no bracket ends at an overflow
+        i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+        a, b, sign_a = ys[i], ys[i + 1], sign[i]
+        live = np.ones(i.size, dtype=bool)
+        while live.any():  # bisect all brackets together; a zero at m closes its bracket onto m
+            m = 0.5 * (a + b)
+            s = sign_a * np.sign(_stationarity_y(m, p))
+            a = np.where(live & (s >= 0.0), m, a)
+            b = np.where(live & (s <= 0.0), m, b)
+            live = b - a > 1e-12 * np.maximum(b, 1.0)
+        y = np.concatenate([ys[gs == 0.0], 0.5 * (a + b)])
+        x = transform_inverse(p.mu + (y - 1.0) / p.xi, p.sigma, p.delta)
+        if sup.contains(0.0):  # the Jacobian's zero (delta > 0) or pole (delta < 0)
+            x = np.append(x, 0.0)
+    x = np.sort(x[(sup.lower < x) & (x < sup.upper)])
+    if not x.size:
         return CriticalPoints(points=(), classification=Modality.DEGENERATE)
+    x = x[np.r_[True, np.diff(x) > 1e-9 * np.maximum(1.0, np.abs(x[1:]))]]  # merge near-duplicates
 
-    # fences between/around the critical points; density is ~0 at both of them
-    left = quantile(1e-8, p)
-    right = quantile(1.0 - 1e-8, p)
-    fences = [min(left, merged[0] - 1.0)]
-    for a, b in zip(merged, merged[1:]):
-        fences.append(0.5 * (a + b))
-    fences.append(max(right, merged[-1] + 1.0))
-
-    fvals = [float(pdf(x, p)) for x in merged]
-    ffence = [float(pdf(x, p)) for x in fences]
-    maxima = tuple(
-        x
-        for x, v, lo_v, hi_v in zip(merged, fvals, ffence[:-1], ffence[1:])
-        if v >= lo_v and v >= hi_v and np.isfinite(v)
-    )
-
-    if len(maxima) == 1:
-        cls = Modality.UNIMODAL
-    elif len(maxima) == 2:
-        cls = Modality.BIMODAL
-    else:
-        cls = Modality.DEGENERATE
-    return CriticalPoints(points=tuple(merged), classification=cls, maxima=maxima)
+    # fences between/around the critical points; density is ~0 at the outer two
+    lo, hi = min(quantile(1e-8, p), x[0] - 1.0), max(quantile(1.0 - 1e-8, p), x[-1] + 1.0)
+    v = pdf(np.concatenate([x, [lo], 0.5 * (x[:-1] + x[1:]), [hi]]), p)
+    at, fence = v[: x.size], v[x.size :]
+    maxima = x[(at >= fence[:-1]) & (at >= fence[1:])]
+    cls = {1: Modality.UNIMODAL, 2: Modality.BIMODAL}.get(maxima.size, Modality.DEGENERATE)
+    return CriticalPoints(points=tuple(x.tolist()), classification=cls, maxima=tuple(maxima.tolist()))
 
 
 # ----------------------------------------------------------------------------

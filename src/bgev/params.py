@@ -130,6 +130,9 @@ class Support:
 
 
 class Modality(Enum):
+    """Shape verdict from the count of local maxima among the density's
+    critical points: one, two, or DEGENERATE for none or more than two."""
+
     UNIMODAL = "unimodal"
     BIMODAL = "bimodal"
     DEGENERATE = "degenerate"
@@ -137,11 +140,13 @@ class Modality(Enum):
 
 @dataclass(frozen=True)
 class CriticalPoints:
-    """Stationary points of the density, sorted ascending, plus a shape verdict.
+    """Critical points of the density, sorted ascending, plus a shape verdict.
 
-    classification is DEGENERATE when the stationary structure could not be
-    resolved (bracketing failed or an unexpected number of maxima was found);
-    it is never silently dropped.
+    The critical points are the stationary points and, for delta != 0, the
+    origin when the support holds it: the density is 0 there for delta > 0
+    and unbounded for delta < 0, which makes the origin a maximum.  maxima
+    are the points at least as high as both their fences: the midpoints to
+    their neighbours and a far point beyond each end.
     """
 
     points: tuple[float, ...]

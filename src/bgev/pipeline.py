@@ -620,10 +620,8 @@ def emit_plot_data(
     theoretical, empirical, one pair per observation.  Every file is a
     header row and numpy columns given to ``csv_text``, which formats them
     in blocks, written by ``write_text``, so output is byte-identical for
-    fixed inputs.
+    fixed inputs.  Every file's text is made before the first is written.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     x = np.asarray(b.maxima, dtype=float)
     nbins = bins if bins is not None else _fd_bin_count(x)
     counts, edges = np.histogram(x, bins=nbins)
@@ -638,12 +636,12 @@ def emit_plot_data(
         "qq_bgev.csv": (("theoretical", "empirical"), *report.bgev.qq.T),
         "qq_gev.csv": (("theoretical", "empirical"), *report.gev.qq.T),
     }
-    written: list[Path] = []
-    for name, (header, *columns) in tables.items():
-        path = out / name
-        write_text(path, csv_text([header], columns))
-        written.append(path)
-    return written
+    out = Path(out_dir)
+    texts = {out / name: csv_text([header], columns) for name, (header, *columns) in tables.items()}
+    out.mkdir(parents=True, exist_ok=True)
+    for path, text in texts.items():
+        write_text(path, text)
+    return list(texts)
 
 
 def comparison_to_text(report: ComparisonReport) -> str:

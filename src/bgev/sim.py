@@ -322,8 +322,10 @@ def run_suite(
     """
     if not cells:
         raise ValueError("no cells to run")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, len(cells))  # a pool starts all its workers at once
-    batches = _batches(cells, max(workers, 1))
+    batches = _batches(cells, workers)
     tasks = [[cells[i] for i in batch] for batch in batches]
     if workers > 1:
         # imported here: the process pool costs every `import bgev` ~16 ms

@@ -101,6 +101,9 @@ def test_allocation_a_flag_asks_for_exits_2_in_one_line(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)  # fit writes its outputs here
     rc, _, err = run_cli(command, capsys)
     assert rc == 2 and err.startswith(says) and err.count("\n") == 1
+    # a command that fails writes none of its outputs, not even the ones made before the failure
+    outputs = ("report.txt", "comparison.csv", "histogram.csv", "density.csv", "qq_bgev.csv", "qq_gev.csv")
+    assert not any((tmp_path / "bgev_out" / name).exists() for name in outputs)
 
 
 def test_gof_on_generated_sample(tmp_path, capsys):
@@ -303,6 +306,16 @@ def test_sim_deterministic_outputs(tmp_path, capsys):
         assert rc == 0
     assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
     assert (d1 / "table.txt").read_bytes() == (d2 / "table.txt").read_bytes()
+
+
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_sim_rejects_parallelism_below_one_before_reading_the_config(tmp_path, capsys, parallelism):
+    out_dir = tmp_path / "out"
+    argv = ["sim", "--config", str(tmp_path / "absent.ini"), "--parallelism", parallelism, "--out-dir", str(out_dir)]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: --parallelism must be >= 1, got {parallelism}\n"
+    assert not out_dir.exists()
 
 
 def test_sim_missing_config(capsys):

@@ -365,15 +365,24 @@ def test_returned_points_zero_the_density_slope(rng):
         BgevParams(xi=0.5, mu=-0.3, sigma=1.4, delta=3.0),
         BgevParams(xi=-0.4, mu=0.2, sigma=1.0, delta=2.0),
         BgevParams(xi=0.3, mu=1.0, sigma=1.0, delta=0.0),
+        BgevParams(xi=-0.3, mu=2.0, sigma=1.0, delta=-0.5),
+        BgevParams(xi=0.5, mu=-2.0, sigma=0.7, delta=-0.5),
+        BgevParams(xi=-0.3, mu=0.2, sigma=0.8, delta=0.5),
+        BgevParams(xi=0.4, mu=-0.5, sigma=1.5, delta=1.5),
     ]
     for p in cases:
         cp = critical_points(p)
         sup = support(p)
+        # for delta != 0 the origin is a critical point whenever the support holds it
+        assert (0.0 in cp.points) is (p.delta != 0.0 and sup.contains(0.0)), p
         grid = np.asarray(quantile(np.linspace(0.01, 0.99, 200), p))
         grid = grid[np.abs(grid) > 1e-3]
         h = 1e-5 * np.maximum(1.0, np.abs(grid))
         slope_scale = np.max(np.abs(pdf(grid + h, p) - pdf(grid - h, p)) / (2 * h))
         for x in cp.points:
+            if x == 0.0:  # the Jacobian's zero or pole, not a zero of the slope
+                assert pdf(x, p) == (0.0 if p.delta > 0.0 else math.inf), p
+                continue
             hx = 1e-5 * max(1.0, abs(x))
             slope = central_diff(lambda t: float(pdf(t, p)), x, hx)
             assert abs(slope) <= 1e-6 * max(1.0, slope_scale), (p, x, slope)
@@ -395,6 +404,73 @@ def test_classification_matches_grid_scan():
         )
         expected = Modality.UNIMODAL if interior_max == 1 else Modality.BIMODAL
         assert cp.classification is expected
+
+
+def _local_maxima(x: np.ndarray, p: BgevParams) -> np.ndarray:
+    """The interior points of the ascending grid x where the density peaks."""
+    v = np.asarray(pdf(x, p))
+    return x[1:-1][(v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])]
+
+
+def _scan_maxima(p: BgevParams, n: int = 20_001) -> np.ndarray:
+    """Local maxima of the density on n quantile levels in [1e-9, 1 - 1e-9],
+    plus points at 1e-12, 1e-9 and 1e-6 either side of an interior origin."""
+    x = np.asarray(quantile(np.linspace(1e-9, 1.0 - 1e-9, n), p))
+    if support(p).contains(0.0):
+        x = np.sort(np.r_[x, [-1e-6, -1e-9, -1e-12, 1e-12, 1e-9, 1e-6]])
+    return _local_maxima(x, p)
+
+
+def test_verdict_matches_a_density_scan_across_delta(rng):
+    # both signs of xi, sigma != 1, -1 < delta < 0 and 0 < delta < 2
+    for _ in range(120):
+        p = random_params(rng, delta_lo=-0.9, delta_hi=2.0)
+        cp = critical_points(p)
+        found = _scan_maxima(p)
+        if cp.classification is {1: Modality.UNIMODAL, 2: Modality.BIMODAL}.get(found.size, Modality.DEGENERATE):
+            continue
+        # the scan steps over humps too small or too far out for its levels
+        # (a maximum of pdf 2.2e-11 at xi=0.6918, mu=1.2963, sigma=0.5594,
+        # delta=1.2915): a local check at each returned maximum decides
+        assert len(cp.maxima) > found.size, (p, cp, found)
+        for x in cp.maxima:
+            h = 1e-6 * max(1.0, abs(x))
+            assert pdf(x, p) >= max(pdf(x - h, p), pdf(x + h, p)), (p, x)
+
+
+@pytest.mark.parametrize(
+    "xi, mu, delta, verdict, maxima",
+    [
+        # the density's pole at the origin is its only maximum
+        pytest.param(-0.5, 0.0, -0.5, Modality.UNIMODAL, (0.0,), id="pole"),
+        # the origin, where the density is 0, separates two maxima; the
+        # midpoint between them is higher than the left one
+        pytest.param(
+            -0.75, 0.0, 0.5, Modality.BIMODAL, (-0.5192988131357815, 0.9936794762142618), id="zero-between-maxima"
+        ),
+    ],
+)
+def test_origin_is_a_critical_point_inside_the_support(xi, mu, delta, verdict, maxima):
+    p = BgevParams(xi=xi, mu=mu, sigma=1.0, delta=delta)
+    cp = critical_points(p)
+    assert cp.classification is verdict
+    assert 0.0 in cp.points
+    assert cp.maxima == pytest.approx(maxima, rel=1e-9)
+
+
+def test_mode_below_the_scan_levels_where_the_support_ends_at_the_origin():
+    # 1 - xi*mu = 0 puts the support's edge at the origin; the one mode lies
+    # at x ~ 3.5e-30, at a level (7.6e-10) below those of the quantile scan,
+    # which sees the density only falling.  A geometric scan in x finds it.
+    p = BgevParams(xi=2.0, mu=0.5, sigma=1.0, delta=-0.9)
+    assert support(p).lower == 0.0
+    cp = critical_points(p)
+    assert cp.classification is Modality.UNIMODAL
+    assert _scan_maxima(p).size == 0
+    found = _local_maxima(np.geomspace(1e-40, 1e-20, 20_001), p)
+    assert found.size == 1
+    assert cp.maxima[0] == pytest.approx(found[0], rel=2e-3)
+    assert float(cdf(cp.maxima[0], p)) < 1e-9
 
 
 # ----------------------------------------------------------------------- moments

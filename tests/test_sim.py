@@ -84,6 +84,12 @@ def test_parallelism_never_exceeds_the_cell_count(monkeypatch):
     assert sizes == []
 
 
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_run_suite_rejects_parallelism_below_one(parallelism):
+    with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
+        run_suite([CELL], parallelism=parallelism)
+
+
 def test_single_cell_suite_equals_run_cell():
     suite, errors = run_suite([CELL])
     assert not errors

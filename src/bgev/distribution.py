@@ -69,7 +69,7 @@ def logpdf(x, p: BgevParams):
     theta = np.array([[p.mu, p.sigma, p.delta, p.xi]])
     with np.errstate(all="ignore"):
         L, _, _, _, psi, u, a = log_density_terms(theta, flat, np.empty((1, 3, flat.size)))
-        out = math.log(p.sigma) + math.log1p(p.delta) + p.delta * L - (1.0 + 1.0 / p.xi) * u - a
+        out = np.log(p.sigma) + np.log1p(p.delta) + p.delta * L - (1.0 + 1.0 / p.xi) * u - a
     out[~(psi > 0.0) | np.isnan(out)] = -np.inf
     if p.delta != 0.0:
         out[flat == 0.0] = np.inf if p.delta < 0.0 and 1.0 - p.xi * p.mu > 0.0 else -np.inf
@@ -177,7 +177,9 @@ def critical_points(p: BgevParams) -> CriticalPoints:
     if p.delta == 0.0:
         # plain GEV composed with a linear map: the only stationary point is
         # the preimage of the GEV mode (interior for xi > -1)
-        x = np.array([transform_inverse(gev_mode(p.xi, p.mu), p.sigma, 0.0)] if p.xi > -1.0 else [])
+        x = np.array([])
+        if p.xi > -1.0:
+            x = np.array([transform_inverse(gev_mode(p.xi, p.mu), p.sigma, 0.0)])
     else:
         # the GEV-kernel values at the quantile levels 1e-12 and 1 - 1e-12
         ends = (-math.log(1e-12)) ** -p.xi, (-math.log1p(-1e-12)) ** -p.xi
@@ -187,7 +189,9 @@ def critical_points(p: BgevParams) -> CriticalPoints:
         i = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
         a, b, sign_a = ys[i], ys[i + 1], sign[i]
         live = np.ones(i.size, dtype=bool)
-        while live.any():  # bisect all brackets together; a zero at m closes its bracket onto m
+        for _ in range(200):  # bisect all brackets together; a zero at m closes its bracket onto m
+            if not live.any():
+                break
             m = 0.5 * (a + b)
             s = sign_a * np.sign(_stationarity_y(m, p))
             a = np.where(live & (s >= 0.0), m, a)
@@ -203,12 +207,22 @@ def critical_points(p: BgevParams) -> CriticalPoints:
     x = x[np.r_[True, np.diff(x) > 1e-9 * np.maximum(1.0, np.abs(x[1:]))]]  # merge near-duplicates
 
     # fences between/around the critical points; density is ~0 at the outer two
-    lo, hi = min(quantile(1e-8, p), x[0] - 1.0), max(quantile(1.0 - 1e-8, p), x[-1] + 1.0)
+    lo = min(quantile(1e-8, p), x[0] - 1.0)
+    hi = max(quantile(1.0 - 1e-8, p), x[-1] + 1.0)
     v = pdf(np.concatenate([x, [lo], 0.5 * (x[:-1] + x[1:]), [hi]]), p)
     at, fence = v[: x.size], v[x.size :]
     maxima = x[(at >= fence[:-1]) & (at >= fence[1:])]
-    cls = {1: Modality.UNIMODAL, 2: Modality.BIMODAL}.get(maxima.size, Modality.DEGENERATE)
-    return CriticalPoints(points=tuple(x.tolist()), classification=cls, maxima=tuple(maxima.tolist()))
+    if maxima.size == 1:
+        cls = Modality.UNIMODAL
+    elif maxima.size == 2:
+        cls = Modality.BIMODAL
+    else:
+        cls = Modality.DEGENERATE
+    return CriticalPoints(
+        points=tuple(x.tolist()),
+        classification=cls,
+        maxima=tuple(maxima.tolist()),
+    )
 
 
 # ----------------------------------------------------------------------------

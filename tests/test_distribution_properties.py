@@ -13,7 +13,7 @@ and at +-1e300.
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bgev import BgevParams, cdf, logpdf, quantile, sf, support, transform_forward, transform_inverse
@@ -134,15 +134,40 @@ def test_logpdf_matches_independent_oracle(case):
 
 @PROPERTY
 @given(density_cases)
+# a level so far out that its point rounds onto the support's edge
+@example((BgevParams(xi=-2.985, mu=0.0, sigma=1.0, delta=0.0), [1e-8], 1.0))
+# terms of size 1 that cancel to -0.0256 at each point
+@example((BgevParams(xi=-1.0, mu=2.5, sigma=math.exp(-1.0), delta=1.375), [1.0, 1.0, 1.0], 1.0))
 def test_logpdf_sums_to_the_kernel(case):
     p, levels, _ = case
     x = inside_points(p, levels)
     got = np.asarray(logpdf(x, p))
     want, total = kernel(p, x, 0), float(np.sum(got))
-    # both add log(sigma), log1p(delta), delta*log|x| and the GEV terms, in
-    # different orders: the gap is bounded by the terms' magnitudes, not by
-    # the sum, which can cancel them.  Equal infinities agree: a level so
-    # far out that its point rounds onto the support's edge is -inf in both.
-    fixed = abs(math.log(p.sigma)) + abs(math.log1p(p.delta))
-    terms = float(np.sum(np.abs(got)) + 2.0 * (x.size * fixed + abs(p.delta) * np.sum(np.abs(np.log(np.abs(x))))))
-    assert want == total or abs(want - total) <= 4 * x.size * EPS * terms
+    if want == total:  # at the support's edge both are -inf
+        return
+    # logpdf adds the terms at each point and the kernel adds each term over
+    # the sample first, so the gap is bounded by the terms' magnitudes, which
+    # the sum can cancel
+    psi = 1.0 + p.xi * (np.asarray(transform_forward(x, p.sigma, p.delta)) - p.mu)
+    terms = (
+        abs(math.log(p.sigma))
+        + abs(math.log1p(p.delta))
+        + np.abs(p.delta * np.log(np.abs(x)))
+        + np.abs((1.0 + 1.0 / p.xi) * np.log(psi))
+        + psi ** (-1.0 / p.xi)
+    )
+    assert abs(want - total) <= 4 * x.size * EPS * float(np.sum(terms))
+
+
+@PROPERTY
+@given(density_cases)
+# a level so far out that its point rounds onto the support's edge
+@example((BgevParams(xi=-2.985, mu=0.0, sigma=1.0, delta=0.0), [1e-8], 1.0))
+# terms that cancel: log(3) - 1 from log1p(2) and the GEV term -1
+@example((BgevParams(xi=-1.0, mu=1.0, sigma=1.0, delta=2.0), [1.0], 1.0))
+def test_logpdf_at_one_point_is_the_kernel_bit_for_bit(case):
+    p, levels, _ = case
+    x = inside_points(p, levels)
+    got = np.asarray(logpdf(x, p))
+    want = np.array([kernel(p, x[i : i + 1], 0) for i in range(x.size)])
+    assert np.array_equal(got, want), (x, got, want)

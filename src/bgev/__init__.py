@@ -43,7 +43,7 @@ _SUBMODULE_NAMES = {
         "tail_index",
     ),
     "likelihood": ("PARAM_ORDER", "log_likelihood", "score", "hessian"),
-    "mle": ("FitResult", "FisherInformation", "fit_mle", "fisher_information", "default_start"),
+    "mle": ("FitResult", "fit_mle", "default_start"),
     "gof": ("GofReport", "LjungBoxReport", "ks_statistic", "ad_statistic", "ljung_box", "qq_pairs", "gof_report"),
     "sim": ("SimConfig", "SimReport", "run_cell", "run_suite", "load_suite_config"),
     "pipeline": (

@@ -62,7 +62,7 @@ def logpdf(x, p: BgevParams):
     -inf outside the support and where the GEV factor underflows.  At the
     origin the Jacobian factor is 0 for delta > 0 (-inf) and singular for
     -1 < delta < 0, where the density is unbounded: +inf whenever 0 lies
-    inside the support.  The spike is integrable.
+    inside the support.  The spike is integrable.  nan at nan.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(1, -1)
@@ -73,26 +73,27 @@ def logpdf(x, p: BgevParams):
     out[~(psi > 0.0) | np.isnan(out)] = -np.inf
     if p.delta != 0.0:
         out[flat == 0.0] = np.inf if p.delta < 0.0 and 1.0 - p.xi * p.mu > 0.0 else -np.inf
+    out[np.isnan(flat)] = np.nan
     out = out.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
 def pdf(x, p: BgevParams):
-    """Density at x, exp(logpdf(x, p)); zero outside the support."""
+    """Density at x, exp(logpdf(x, p)); zero outside the support, nan at nan."""
     with np.errstate(over="ignore"):
         out = np.exp(logpdf(x, p))
     return out if out.ndim else float(out)
 
 
 def cdf(x, p: BgevParams):
-    """Distribution function, clamped to 0/1 outside the support."""
+    """Distribution function, clamped to 0/1 outside the support; nan at nan."""
     t = transform_forward(x, p.sigma, p.delta)
     return gev_cdf(t, p.xi, p.mu)
 
 
 def sf(x, p: BgevParams):
-    """Survival function 1 - cdf(x), computed to full relative accuracy in the
-    far right tail (where 1 - exp(-eps) would otherwise round to eps-ish)."""
+    """Survival function 1 - cdf(x), nan at nan, computed to full relative
+    accuracy in the far right tail (where 1 - exp(-eps) would round to eps-ish)."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(transform_forward(x, p.sigma, p.delta), dtype=float)
     u = 1.0 + p.xi * (t - p.mu)
@@ -101,6 +102,7 @@ def sf(x, p: BgevParams):
     with np.errstate(over="ignore", under="ignore"):
         out[inside] = -np.expm1(-(u[inside] ** (-1.0 / p.xi)))
     out[~inside] = 1.0 if p.xi > 0.0 else 0.0
+    out[np.isnan(u)] = np.nan
     return out if out.ndim else float(out)
 
 

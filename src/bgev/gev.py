@@ -22,7 +22,7 @@ def _kernel(x, xi: float, mu: float, sigma: float):
 
 
 def gev_cdf(x, xi: float, mu: float, sigma: float = 1.0):
-    """GEV distribution function, clamped to {0, 1} outside the support."""
+    """GEV distribution function, clamped to {0, 1} outside the support; nan at nan."""
     if xi == 0.0:
         raise ValueError("xi must be nonzero")
     u = _kernel(x, xi, mu, sigma)
@@ -32,6 +32,7 @@ def gev_cdf(x, xi: float, mu: float, sigma: float = 1.0):
         out[inside] = np.exp(-(u[inside] ** (-1.0 / xi)))
     # below the lower endpoint (xi > 0) the mass is 0; above the upper (xi < 0) it is 1
     out[~inside] = 0.0 if xi > 0.0 else 1.0
+    out[np.isnan(u)] = np.nan
     return out if out.ndim else float(out)
 
 

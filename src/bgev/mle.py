@@ -27,17 +27,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distribution import sample
 from .likelihood import PARAM_ORDER, kernel, log_likelihood
 from .params import BgevParams, InfeasibleStartError
 
 __all__ = [
     "FitResult",
-    "FisherInformation",
     "InfeasibleStartError",
     "fit_mle",
     "fit_mle_rows",
-    "fisher_information",
     "default_start",
 ]
 
@@ -448,45 +445,3 @@ def default_start(x) -> BgevParams:
         if np.isfinite(log_likelihood(cand, x)):
             return cand
     raise InfeasibleStartError("could not construct a feasible default start")
-
-
-@dataclass(frozen=True)
-class FisherInformation:
-    """Monte Carlo estimate of the per-observation Fisher information.
-
-    matrix averages -hessian/n over replicates drawn at theta; mc_std_error
-    holds the entrywise Monte Carlo standard error of that average.  Invalid
-    replicates (non-finite Hessian) are skipped and counted.
-    """
-
-    matrix: np.ndarray
-    mc_std_error: np.ndarray
-    replicates_used: int
-    replicates_failed: int
-
-
-def fisher_information(theta: BgevParams, m: int, n: int, seed: int) -> FisherInformation:
-    """Average -hessian(theta, sample_n)/n over m seeded replicates.
-
-    Replicate r is drawn from the stream seeded by (seed, r); all m Hessians
-    come from one batched kernel call."""
-    if m < 30:
-        raise ValueError(f"need m >= 30 replicates, got {m}")
-    xs = np.empty((m, n))
-    for r in range(m):
-        xs[r] = sample(n, theta, np.random.default_rng([int(seed), r]))
-    rows = np.tile([theta.mu, theta.sigma, theta.delta, theta.xi], (m, 1))
-    h = kernel(rows, xs, 2)[2]
-    good = np.isfinite(h).all(axis=(1, 2))
-    if not good.any():
-        raise ArithmeticError("every replicate produced an invalid Hessian")
-    stack = -h[good] / n
-    used = len(stack)
-    mean = stack.mean(axis=0)
-    se = stack.std(axis=0, ddof=1) / math.sqrt(used)
-    return FisherInformation(
-        matrix=0.5 * (mean + mean.T),
-        mc_std_error=se,
-        replicates_used=used,
-        replicates_failed=m - used,
-    )

@@ -21,11 +21,12 @@ def _check(sigma: float, delta: float) -> None:
 
 
 def transform_forward(x, sigma: float, delta: float):
-    """sigma * x * |x|**delta, elementwise.  Total on the reals."""
+    """sigma * x * |x|**delta, elementwise.  Total on the extended reals:
+    +-inf maps to +-inf, where |x|**delta is 0 for delta < 0."""
     _check(sigma, delta)
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p = np.where(x == 0.0, 0.0, np.abs(x) ** delta)
+        p = np.where(x == 0.0, 0.0, np.where(np.isinf(x), 1.0, np.abs(x) ** delta))
         out = sigma * x * p  # +-inf where the power overflows
     return out if out.ndim else float(out)
 

@@ -38,6 +38,11 @@ def test_eval_values(capsys):
     assert float(lines[3].split(",")[1]) == pytest.approx(1 / math.log(2) - 1)
 
 
+def test_eval_nan_point_prints_nan(capsys):
+    rc, out, _ = run_cli(["eval", "--xi", "0.1", "--mu", "0", "--sigma", "1", "--delta", "0", "--x", "nan"], capsys)
+    assert rc == 0 and out == "x,pdf,cdf\nnan,nan,nan\n"
+
+
 def test_eval_requires_something(capsys):
     rc, _, err = run_cli(["eval", *PARAMS], capsys)
     assert rc == 2 and "nothing to evaluate" in err

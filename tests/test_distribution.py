@@ -13,6 +13,7 @@ from bgev import (
     gev_mode,
     gev_quantile,
     ks_statistic,
+    logpdf,
     moment,
     pdf,
     quantile,
@@ -177,6 +178,25 @@ def test_sf_complements_cdf_and_is_tail_accurate():
     # relative accuracy where 1 - cdf would lose every digit
     psi = 1.0 + p.xi * (transform_forward(big, p.sigma, p.delta) - p.mu)
     assert tail == pytest.approx(psi ** (-1.0 / p.xi), rel=1e-6)
+
+
+@pytest.mark.parametrize("xi", [-0.5, 0.25])
+@pytest.mark.parametrize("delta", [-0.5, 0.0, 1.5])
+def test_nan_points_give_nan_and_leave_the_rest(xi, delta):
+    p = BgevParams(xi=xi, mu=0.3, sigma=1.7, delta=delta)
+    x = np.array([np.nan, -np.inf, -2.0, np.nan, 0.0, 0.7, np.inf, np.nan])
+    nan = np.isnan(x)
+    ends = np.isinf(x)
+    assert np.array_equal(transform_forward(x[ends], p.sigma, p.delta), x[ends])
+    limits = {logpdf: [-np.inf, -np.inf], pdf: [0.0, 0.0], cdf: [0.0, 1.0], sf: [1.0, 0.0]}
+    for f, at_ends in limits.items():
+        got = np.asarray(f(x, p))
+        assert np.isnan(got[nan]).all() and math.isnan(f(math.nan, p)), f.__name__
+        assert np.array_equal(got[~nan], f(x[~nan], p)), f.__name__
+        assert np.array_equal(got[ends], at_ends), f.__name__
+    got = np.asarray(gev_cdf(x, xi, 0.3, 1.7))
+    assert np.isnan(got[nan]).all() and math.isnan(gev_cdf(math.nan, xi, 0.3))
+    assert np.array_equal(got[~nan], gev_cdf(x[~nan], xi, 0.3, 1.7))
 
 
 # ----------------------------------------------------------------------- quantile

@@ -145,9 +145,16 @@ def test_logpdf_sums_to_the_kernel(case):
     want, total = kernel(p, x, 0), float(np.sum(got))
     if want == total:  # at the support's edge both are -inf
         return
-    # logpdf adds the terms at each point and the kernel adds each term over
-    # the sample first, so the gap is bounded by the terms' magnitudes, which
-    # the sum can cancel
+    # Both sides take L = log|x|, u = log(psi) and a = psi**(-1/xi) bit for
+    # bit from log_density_terms; only the order of the additions differs.
+    # The kernel sums each of L, u and a over the sample and then combines
+    # five sums (n log sigma, n log1p(delta), delta*sum L, (1 + 1/xi)*sum u,
+    # sum a); logpdf combines the five terms at each point, and np.sum then
+    # adds the points.  Each of the about n + 6 roundings on either side is
+    # at most eps/2 of a partial sum no larger than the sum S of the terms'
+    # magnitudes, which the result can cancel, so the gap is a few n*eps*S
+    # at worst.  Over this test's cases the largest gap is 0.49 n*eps*S; the
+    # bound is twice that, rounded up to a power of two.
     psi = 1.0 + p.xi * (np.asarray(transform_forward(x, p.sigma, p.delta)) - p.mu)
     terms = (
         abs(math.log(p.sigma))
@@ -156,7 +163,7 @@ def test_logpdf_sums_to_the_kernel(case):
         + np.abs((1.0 + 1.0 / p.xi) * np.log(psi))
         + psi ** (-1.0 / p.xi)
     )
-    assert abs(want - total) <= 4 * x.size * EPS * float(np.sum(terms))
+    assert abs(want - total) <= x.size * EPS * float(np.sum(terms))
 
 
 @PROPERTY

@@ -13,7 +13,6 @@ from bgev import (
     ParameterError,
     SimConfig,
     default_start,
-    fisher_information,
     fit_mle,
     log_likelihood,
     quantile,
@@ -690,84 +689,3 @@ def test_default_start_feasible(rng):
         x = sample(150, truth, rng)
         s = default_start(x)
         assert np.isfinite(log_likelihood(s, x))
-
-
-# ----------------------------------------------------------------------- Fisher information
-
-
-def test_fisher_information_psd_at_table_cells():
-    for truth in (
-        BgevParams(xi=1.0, mu=-1.0, sigma=1.0, delta=0.0),
-        BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0),
-        BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=4.0),
-    ):
-        fi = fisher_information(truth, m=40, n=300, seed=17)
-        assert fi.replicates_failed == 0
-        eig = np.linalg.eigvalsh(fi.matrix)
-        assert np.all(eig > -1e-10)
-
-
-def test_fisher_information_mc_error_shrinks():
-    truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=1.0)
-    small = fisher_information(truth, m=40, n=200, seed=3)
-    big = fisher_information(truth, m=160, n=200, seed=3)
-    # entrywise MC standard error scales like 1/sqrt(m): expect ~2x shrink
-    ratio = np.median(small.mc_std_error / np.maximum(big.mc_std_error, 1e-300))
-    assert 1.4 < ratio < 2.9
-
-
-def test_fisher_information_skips_invalid_hessians(monkeypatch):
-    # replicates whose Hessian is not finite are left out of the average
-    # and counted
-    truth = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=1.0)
-    full = fisher_information(truth, m=40, n=100, seed=3)
-    real = mle.kernel
-
-    def every_fourth_invalid(theta, x, order=2):
-        ll, g, h = real(theta, x, order)
-        h[::4] = np.nan
-        return ll, g, h
-
-    monkeypatch.setattr(mle, "kernel", every_fourth_invalid)
-    part = fisher_information(truth, m=40, n=100, seed=3)
-    assert (part.replicates_used, part.replicates_failed) == (30, 10)
-    assert not np.array_equal(part.matrix, full.matrix) and np.all(np.isfinite(part.matrix))
-
-
-def test_fisher_information_requires_30_replicates():
-    with pytest.raises(ValueError):
-        fisher_information(BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=0.0), m=10, n=100, seed=1)
-
-
-def test_fisher_information_gev_reduction_block():
-    # at delta=0, sigma=1 the model is the unit-scale GEV; compare the
-    # (mu, xi) block against a finite-difference information estimate built
-    # on an independent GEV implementation
-    truth = BgevParams(xi=0.4, mu=0.0, sigma=1.0, delta=0.0)
-    m, n = 60, 400
-    fi = fisher_information(truth, m=m, n=n, seed=29)
-
-    def gev_ll(mu, xi, x):
-        return float(np.sum(stats.genextreme.logpdf(x, c=-xi, loc=mu, scale=1.0)))
-
-    h = 1e-4
-    mats = []
-    for r in range(m):
-        rng = np.random.default_rng([29, r])
-        x = sample(n, truth, rng)
-        f0 = gev_ll(truth.mu, truth.xi, x)
-        d_mumu = (gev_ll(truth.mu + h, truth.xi, x) - 2 * f0 + gev_ll(truth.mu - h, truth.xi, x)) / h**2
-        d_xixi = (gev_ll(truth.mu, truth.xi + h, x) - 2 * f0 + gev_ll(truth.mu, truth.xi - h, x)) / h**2
-        d_muxi = (
-            gev_ll(truth.mu + h, truth.xi + h, x)
-            - gev_ll(truth.mu + h, truth.xi - h, x)
-            - gev_ll(truth.mu - h, truth.xi + h, x)
-            + gev_ll(truth.mu - h, truth.xi - h, x)
-        ) / (4 * h**2)
-        mats.append(-np.array([[d_mumu, d_muxi], [d_muxi, d_xixi]]) / n)
-    ref = np.mean(mats, axis=0)
-
-    idx = [0, 3]  # (mu, xi) rows/cols in the 4x4 ordering
-    got = fi.matrix[np.ix_(idx, idx)]
-    tol = 2.0 * fi.mc_std_error[np.ix_(idx, idx)] + 1e-3
-    assert np.all(np.abs(got - ref) <= tol)

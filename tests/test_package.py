@@ -52,6 +52,13 @@ def test_fit_loads_no_module_only_sim_or_the_tests_need(tmp_path):
     assert loaded.isdisjoint({"bgev.sim", "configparser", "concurrent.futures.process", "scipy"})
 
 
+def test_mle_loads_no_distribution_module():
+    # fitting needs the likelihood kernel, not the law's evaluation
+    loaded = loaded_modules("import bgev.mle")
+    assert "bgev.likelihood" in loaded
+    assert loaded.isdisjoint({"bgev.distribution", "bgev.gev", "bgev.incgamma", "bgev.transform"})
+
+
 @pytest.mark.parametrize(
     "argv", [["eval", *PARAMS, "--x", "1", "--q", "0.5"], ["sample", *PARAMS, "-n", "3", "--seed", "1"]]
 )

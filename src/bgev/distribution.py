@@ -68,7 +68,7 @@ def logpdf(x, p: BgevParams):
     flat = x.reshape(1, -1)
     theta = np.array([[p.mu, p.sigma, p.delta, p.xi]])
     with np.errstate(all="ignore"):
-        L, _, _, _, psi, u, a = log_density_terms(theta, flat, np.empty((1, 3, flat.size)))
+        L, _, _, _, psi, u, a = log_density_terms(theta, flat, np.empty((3, 1, flat.size)))
         out = np.log(p.sigma) + np.log1p(p.delta) + p.delta * L - (1.0 + 1.0 / p.xi) * u - a
     out[~(psi > 0.0) | np.isnan(out)] = -np.inf
     if p.delta != 0.0:

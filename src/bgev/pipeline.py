@@ -186,6 +186,28 @@ def _has_long_line(text: str, limit: int) -> bool:
 _SCAN_CHARS = 1 << 18
 
 
+def _may_miss(text: str, start: int, delimiter: str) -> bool:
+    """Whether ``text[start:]`` has what a missing field of
+    ``_fill_missing`` needs: an "N", or two adjacent field edges, one of
+    them a delimiter, counting a line end before the body and one after
+    the text.  str.find of a two-character pattern is slower than the
+    scan it would skip, so the pairs are found by comparing the bytes, a
+    block of ``_SCAN_CHARS`` (and one more) at a time; a text that is not
+    ASCII, whose characters are not its bytes, is taken to have them."""
+    d = delimiter
+    if text.startswith(d, start) or text.endswith(d, start) or text.find("N", start) >= 0 or not text.isascii():
+        return True
+    u = np.frombuffer(text.encode(), np.uint8)
+    for lo in range(start, u.size - 1, _SCAN_CHARS):
+        v = u[lo : lo + _SCAN_CHARS + 1]
+        sep = v == ord(d)
+        edge = v == ord("\n")
+        edge |= sep
+        if (sep[:-1] & edge[1:]).any() or (edge[:-1] & sep[1:]).any():
+            return True
+    return False
+
+
 def _fill_missing(text: str, start: int, delimiter: str) -> str | None:
     """``text[start:]`` with "nan" in every missing field, or None where
     no field is missing; ``start`` is 0 or follows a line end.  A field is
@@ -197,7 +219,10 @@ def _fill_missing(text: str, start: int, delimiter: str) -> str | None:
     between two edges around an "N".  One numpy scan of the UTF-8 bytes
     finds both, since no continuation byte equals an ASCII one.  It takes a
     block of whole lines at a time, each ending at the first line end at or
-    after ``_SCAN_CHARS`` characters, so no field straddles two blocks."""
+    after ``_SCAN_CHARS`` characters, so no field straddles two blocks.
+    A body in which ``_may_miss`` finds no such edges or "N" skips it."""
+    if not _may_miss(text, start, delimiter):
+        return None
     filled, bounds = {}, [start]  # block start: the block filled in; block bounds
     while bounds[-1] < len(text):
         lo = bounds[-1]
@@ -421,12 +446,16 @@ def block_maxima(s: SeriesFile | np.ndarray, block_size: int) -> BlockMaxima:
     rows.  A skipped value leaves its row empty, so later blocks keep their
     place, and a block left with no value raises.  The values of a trailing
     partial block are dropped and counted in ``dropped``.  An array is a
-    series without gaps."""
+    series without gaps.  A nan or infinite value raises: none is a
+    reading, and -inf would pass for an empty row."""
     if isinstance(s, SeriesFile):
         values, rows, n = s.values, s.rows, s.values.size + s.skipped
     else:
         values = np.asarray(s, dtype=float)
         rows, n = np.arange(values.size), values.size
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise InputDataError(f"{bad} of the series' {values.size} values are not finite (nan or inf)")
     if block_size < 1:
         raise InputDataError(f"block size must be >= 1, got {block_size}")
     if n < block_size:
@@ -446,7 +475,11 @@ def block_maxima(s: SeriesFile | np.ndarray, block_size: int) -> BlockMaxima:
 def standardize(b: BlockMaxima) -> BlockMaxima:
     """Center and scale the maxima to zero mean and unit sample standard
     deviation (n-1 denominator).  The original mean and sd are kept so
-    fitted quantiles can be mapped back to the data scale."""
+    fitted quantiles can be mapped back to the data scale.  Maxima that are
+    not all finite raise."""
+    bad = b.maxima.size - int(np.count_nonzero(np.isfinite(b.maxima)))
+    if bad:
+        raise InputDataError(f"cannot standardize: {bad} of the {b.maxima.size} block maxima are not finite")
     with np.errstate(over="ignore", invalid="ignore"):
         m = float(np.mean(b.maxima))
         sd = float(np.std(b.maxima, ddof=1)) if b.maxima.size > 1 else 0.0

@@ -10,6 +10,7 @@ from scipy import integrate
 
 import bgev
 from bgev import BgevParams, pdf, support, transform_forward
+from bgev.likelihood import log_density_terms
 
 
 def random_params(rng, xi_lo=0.15, xi_hi=1.0, delta_lo=-0.5, delta_hi=4.0, xi_sign=None):
@@ -77,6 +78,73 @@ def log_density_oracle(x, p: BgevParams):
     """The log density written apart from the likelihood kernel's terms,
     which logpdf shares: log gev_pdf(T(x)) plus the log Jacobian."""
     return log_gev_factor(x, p) + log_jacobian(x, p)
+
+
+def _chain_rule(psi_1, psi_2, f_psi, f_psipsi, f_xi, f_psixi, f_xixi, direct_g, direct_h):
+    """g and H of sum(f) plus the direct terms, by the chain rule through
+    psi: psi_1 (4, n) and psi_2 (4, 4, n) are the first and second
+    derivatives of psi per observation, the f_ arrays the partials of f in
+    (psi, xi)."""
+    g = psi_1 @ f_psi + direct_g
+    g[3] += f_xi.sum()
+    h = (psi_1 * f_psipsi) @ psi_1.T + psi_2 @ f_psi + direct_h
+    cross = psi_1 @ f_psixi
+    h[3] += cross
+    h[:, 3] += cross
+    h[3, 3] += f_xixi.sum()
+    return g, h
+
+
+def kernel_derivatives_oracle(p: BgevParams, x):
+    """The gradient and Hessian of the log-likelihood of a 1-D sample by
+    the matrix form of the chain rule: P = d psi / d theta per observation,
+    the curvature (P * f_psipsi) @ P.T, d f / d psi times the second
+    derivatives of psi, the explicit-xi terms of f and the direct
+    sigma/delta terms, each summed on its own.  It takes the
+    per-observation terms from ``log_density_terms``, as the kernel does.
+
+    Returns (g, h, g_size, h_size): each size is the same sum taken over
+    the magnitudes of everything added or subtracted on the way, the
+    scale of the rounding error of either computation."""
+    x = np.asarray(x, dtype=float)
+    n, xi = x.size, p.xi
+    theta = np.array([[p.mu, p.sigma, p.delta, p.xi]])
+    with np.errstate(all="ignore"):
+        L, w, t, d, psi, u, a = (v.ravel() for v in log_density_terms(theta, x[None], np.empty((3, 1, n))))
+        tl, ax = t * L, abs(xi)
+        signed = dict(
+            psi_1=np.stack([np.full(n, -xi), xi * w, xi * tl, d]),
+            f_psi=(a - 1.0 - xi) / (xi * psi),
+            f_psipsi=(1.0 + xi) * (xi - a) / (xi * psi) ** 2,
+            f_xi=u * (1.0 - a) / xi**2,
+            f_psixi=(1.0 - a + a * u / xi) / (xi**2 * psi),
+            f_xixi=-u * (2.0 * (1.0 - a) + a * u / xi) / xi**3,
+            direct_g=np.array([0.0, n / p.sigma, n / (1.0 + p.delta), 0.0]),
+            direct_h=np.diag([0.0, -n / p.sigma**2, -n / (1.0 + p.delta) ** 2, 0.0]),
+        )
+        size = dict(
+            psi_1=np.abs(signed["psi_1"]),
+            f_psi=(a + 1.0 + ax) / (ax * psi),
+            f_psipsi=(1.0 + ax) * (ax + a + 2.0) / (xi * psi) ** 2,
+            f_xi=np.abs(u) * (1.0 + a) / xi**2,
+            f_psixi=(1.0 + a + a * np.abs(u) / ax) / (xi**2 * psi),
+            f_xixi=np.abs(u) * (2.0 * (1.0 + a) + a * np.abs(u) / ax) / ax**3,
+            direct_g=np.abs(signed["direct_g"]),
+            direct_h=np.abs(signed["direct_h"]),
+        )
+        # the second derivatives of psi: mu-xi, sigma-delta, sigma-xi,
+        # delta-delta and delta-xi
+        psi_2 = np.zeros((4, 4, n))
+        psi_2[0, 3] = psi_2[3, 0] = -1.0
+        psi_2[1, 2] = psi_2[2, 1] = xi * w * L
+        psi_2[1, 3] = psi_2[3, 1] = w
+        psi_2[2, 2] = xi * tl * L
+        psi_2[2, 3] = psi_2[3, 2] = tl
+        g, h = _chain_rule(psi_2=psi_2, **signed)
+        g_size, h_size = _chain_rule(psi_2=np.abs(psi_2), **size)
+        g[2] += L.sum()  # the derivative of delta*sum(L)
+        g_size[2] += np.abs(L).sum()
+    return g, h, g_size, h_size
 
 
 def child_env():

@@ -234,13 +234,13 @@ def test_fit_unconverged_fit_without_gof_exits_3(tmp_path, capsys):
     # is 1 at the highest reading, so its KS/AD cannot be computed.  That
     # is the fit's non-convergence (exit 3), not an input error (exit 2)
     data = tmp_path / "clusters.csv"
-    data.write_text("".join(f"{v!r}\n" for v in series_values("clusters", 300, 1.0, 15)), encoding="utf-8")
+    data.write_text("".join(f"{v!r}\n" for v in series_values("clusters", 300, 1.0, 55)), encoding="utf-8")
     argv = ["fit", "--input", str(data), "--block-size", "1", "--out-dir", str(tmp_path / "out")]
     rc, _, err = run_cli(argv, capsys)
     assert rc == 3
     assert err == (
         "error: the BGEV fit did not converge (no_ascent) and its KS/AD cannot be computed: "
-        "F(x) hit the boundary for observation x=0.9739388500449563 (rank 300, F=1.0)\n"
+        "F(x) hit the boundary for observation x=0.9875789237738615 (rank 300, F=1.0)\n"
     )
 
 

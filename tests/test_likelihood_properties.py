@@ -14,13 +14,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bgev import BgevParams, sample, transform_inverse
 from bgev import likelihood
 from bgev.likelihood import kernel
-from tests.conftest import log_density_oracle
+from tests.conftest import kernel_derivatives_oracle, log_density_oracle
 
 EPS = np.finfo(float).eps
 PROPERTY = settings(
@@ -285,6 +285,40 @@ def test_log_likelihood_is_the_same_bits_at_every_order(cells, n, overshoot, tai
     assert kernel(theta, xs, 0).tobytes() == kernel(theta, xs, 2)[0].tobytes()
     for p, x in rows:
         assert np.float64(kernel(p, x, 0)).tobytes() == np.float64(kernel(p, x, 2)[0]).tobytes()
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(cell_params, st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=3),
+    st.sampled_from([8, 50, 1000, 7300]),
+)
+def test_derivatives_match_the_chain_rule_oracle(rows, n):
+    # g and H of every row of a call one row longer than a chunk, so that
+    # it spans two, against the matrix form of the chain rule; the rows
+    # cycle through the drawn ones, on interior data or on data drawn by
+    # sample, whose uniforms reach the far tails
+    drawn = [(p, sample(n, p, seed) if tails else interior_sample(p, n, seed)) for p, seed, tails in rows]
+    m = max(max(1, likelihood._CHUNK // n) + 1, len(drawn))
+    cycle = [drawn[i % len(drawn)] for i in range(m)]
+    ll, g, h = kernel(np.array([as_row(p) for p, _ in cycle]), np.array([x for _, x in cycle]), 2)
+    for i, (p, x) in enumerate(drawn):
+        # an observation of the far tails may round onto the support's edge
+        assume(math.isfinite(ll[i]))
+        want_g, want_h, g_size, h_size = kernel_derivatives_oracle(p, x)
+        # Both sides add the same terms from the same L, w, t, d, psi, u
+        # and a, each factor after them a few roundings from the other
+        # side's; they differ in the order of the additions: the kernel
+        # sums products of weights by basis terms and scales them by
+        # powers of xi, the oracle sums each product of the chain rule on
+        # its own.  Each of the about n roundings on either side is at
+        # most eps/2 of a partial sum no larger than the size of the
+        # entry, the sum of the magnitudes of everything added on the way,
+        # so the gap is a few n*eps*size at worst.  Over this test's cases
+        # the largest gap is 0.18 n*eps*size; the bound is twice that,
+        # rounded up to a power of two.
+        for j in range(i, m, len(drawn)):
+            assert np.all(np.abs(g[j] - want_g) <= 0.5 * n * EPS * g_size), (p, n, g[j], want_g)
+            assert np.all(np.abs(h[j] - want_h) <= 0.5 * n * EPS * h_size), (p, n, h[j], want_h)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

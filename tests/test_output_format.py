@@ -58,11 +58,11 @@ def test_write_text_is_utf8_with_lf(tmp_path):
 # byte must keep these
 GOLDEN_FIT_SHA256 = {
     "report.txt": "a6b6c0d7731535c6b7e8efbf3cee9763fc6bdb15f7105a6731d1900a58899c1f",
-    "comparison.csv": "2a43ebadbda9e91c7cf3c4c217aa0f1f23e09f11dd95363d181620e8138c9f78",
+    "comparison.csv": "358cc1af79874be3d3429aeb43d1dfec32dca28a45c3c752741e914a3d3595e2",
     "histogram.csv": "e9bdee8d6838bd222d67d8cf3caafb2452736e3496b1d1212244c1b90ce6c6a7",
-    "density.csv": "603f9a34c60029c908c777d521b8848a2682bc0645a218030250b8151b32a6ce",
-    "qq_bgev.csv": "e3480b4337579507b3dba44fb0ef30852b92d513bedd00f618e3aaa0446a2a6f",
-    "qq_gev.csv": "b14a0bc2af07a1e8a9e636014df5f512b010efaf338961cda83ce88c1eb80ffa",
+    "density.csv": "00a9a2d6f07289f6cab860d1f7e05175af677fe355752bfbe5471086e0f1b8d0",
+    "qq_bgev.csv": "3d4781a37d69f206c83d8642f389e8f7df5d6d54fa468e8edc554476f75c8868",
+    "qq_gev.csv": "bd43cb4492f0bf9e86b7f2de3836bd52ac2a887aa4ad0561fb38c1eaa65a10a6",
 }
 GOLDEN_SAMPLE_SHA256 = "40154234dfc33283067c0bf03a7b95407b12abb8c3147ff22e96452008f7e34b"
 

@@ -10,6 +10,7 @@ import pytest
 
 from bgev import (
     BgevParams,
+    BlockMaxima,
     InfeasibleStartError,
     InputDataError,
     block_maxima,
@@ -19,6 +20,7 @@ from bgev import (
     fit_and_compare,
     fit_mle,
     ingest,
+    SeriesFile,
     sample,
     standardize,
 )
@@ -352,6 +354,19 @@ def test_block_maxima_block_without_values(tmp_path):
     assert b.maxima.tolist() == [2.0, 7.0] and b.dropped == 1
 
 
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_block_maxima_rejects_non_finite_values(bad):
+    # -inf once read as an empty row, so a block of it "held no value", and
+    # nan gave a nan maximum
+    x = np.arange(12.0)
+    x[[3, 4, 5, 9]] = bad
+    with pytest.raises(InputDataError, match=r"^4 of the series' 12 values are not finite \(nan or inf\)$"):
+        block_maxima(x, 3)
+    s = SeriesFile(rows=np.arange(12), values=x, path="x", time_column=None, value_column="v", skipped=0)
+    with pytest.raises(InputDataError, match="4 of the series' 12 values are not finite"):
+        block_maxima(s, 3)
+
+
 def test_block_maxima_too_short():
     with pytest.raises(InputDataError):
         block_maxima(np.arange(5.0), 24)
@@ -383,6 +398,14 @@ def test_standardize_exactness_and_idempotence(rng):
 def test_standardize_constant_rejected():
     with pytest.raises(InputDataError):
         standardize(block_maxima(np.ones(48), 24))
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan])
+def test_standardize_names_non_finite_maxima(bad):
+    # not "the spread of the block maxima overflows a float"
+    b = BlockMaxima(block_size=1, maxima=np.array([0.0, bad, 1.0, bad]))
+    with pytest.raises(InputDataError, match=r"^cannot standardize: 2 of the 4 block maxima are not finite$"):
+        standardize(b)
 
 
 # ----------------------------------------------------------------------- comparison

@@ -319,6 +319,39 @@ def test_mc_study_seeds_drop_only_the_runaway_replicate():
     assert {c.seed: r.drops for c, r in zip(cells, reports) if r.failures} == {RUNAWAY.seed: {"not_converged:step_cap": 1}}
 
 
+# the suite of README's config example: a grid of five xi, three mu, three
+# delta and four n, seeded 0-179 in xi-outer to n-inner order, and one
+# more cell, each of 100 replicates
+README_SUITE = [
+    SimConfig(truth=BgevParams(xi=xi, mu=mu, sigma=1.0, delta=delta), n=n, m=100, seed=seed)
+    for seed, (xi, mu, delta, n) in enumerate(
+        product((1.0, 0.5, 0.25, -0.25, -0.5), (-1.0, 0.0, 1.0), (0.0, 2.0, 4.0), (50, 100, 250, 1000))
+    )
+] + [SimConfig(truth=BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=2.0), n=250, m=100, seed=999)]
+
+# its drops by cell seed and cause since the trust-region run came in: 25
+# step_cap and 6 no_ascent of 18,100 fits
+README_SUITE_DROPS = {
+    24: {"not_converged:step_cap": 10},
+    28: {"not_converged:step_cap": 6},
+    32: {"not_converged:step_cap": 8},
+    104: {"not_converged:step_cap": 1},
+    148: {"not_converged:no_ascent": 1},
+    152: {"not_converged:no_ascent": 1},
+    172: {"not_converged:no_ascent": 4},
+}
+
+
+def test_readme_suite_drops_no_more_than_before():
+    # the optimizer's second drop gate: no cell of the README suite drops
+    # more replicates for any cause than it did
+    reports, errors = run_suite(README_SUITE)
+    assert not errors
+    for cfg, rep in zip(README_SUITE, reports):
+        allowed = README_SUITE_DROPS.get(cfg.seed, {})
+        assert all(count <= allowed.get(cause, 0) for cause, count in rep.drops.items()), (cfg.seed, rep.drops)
+
+
 def test_drops_count_infeasible_starts(monkeypatch):
     def two_errors(x, starts, fixed=None):
         fits = fit_mle_rows(x, starts, fixed)
@@ -491,8 +524,8 @@ def test_batched_starts_equal_each_cell_alone():
 
 
 # the results.csv text of a small mixed suite, one cell with a step_cap
-# drop, as the trust-region optimizer first wrote it: a change that claims
-# to keep every fit must keep these bytes
+# drop, as the trust-region optimizer writes it with the kernel's one
+# product: a change that claims to keep every fit must keep these bytes
 GOLDEN_CELLS = [
     replace(RUNAWAY, m=5),
     SimConfig(truth=BgevParams(xi=1.0, mu=-1.0, sigma=1.0, delta=0.0), n=250, m=5, seed=1),
@@ -501,10 +534,10 @@ GOLDEN_CELLS = [
 ]
 GOLDEN_CSV = """\
 xi,mu,sigma,delta,n,m,seed,mean_xi,mean_mu,mean_delta,bias_xi,bias_mu,bias_delta,mse_xi,mse_mu,mse_delta,failures
-0.25,1,1,-0.5,50,5,34009,0.082987385445909861,1.0752591572609731,-0.53045595572052062,-0.16701261455409014,0.075259157260973097,-0.030455955720520622,0.058799877126548467,0.017029033573797359,0.0043080780660306748,1
-1,-1,1,0,250,5,1,1.0104372204045071,-0.99309178347094296,-0.0095428396073466183,0.010437220404507119,0.006908216529057043,-0.0095428396073466183,0.0013703341237546736,0.0025708575418118425,0.0045114154858530969,0
-0.5,0,1,1,50,5,2,0.62184643551435603,0.02532826979998188,1.1337964974526435,0.12184643551435603,0.02532826979998188,0.13379649745264355,0.085635903344597669,0.014821274385161509,0.12903318742890607,0
--0.25,0,1,2,250,5,3,-0.27627372812791984,-0.015673673346109356,1.908520640241218,-0.026273728127919838,-0.015673673346109356,-0.091479359758781964,0.0034791890505513853,0.005001840095482153,0.018683522856528682,0
+0.25,1,1,-0.5,50,5,34009,0.082987385445906059,1.0752591572609747,-0.53045595572052173,-0.16701261455409394,0.075259157260974652,-0.030455955720521732,0.058799877126549452,0.017029033573797422,0.0043080780660308239,1
+1,-1,1,0,250,5,1,1.0104372204045065,-0.99309178347094273,-0.0095428396073464795,0.010437220404506453,0.006908216529057265,-0.0095428396073464795,0.0013703341237546792,0.0025708575418118369,0.004511415485853096,0
+0.5,0,1,1,50,5,2,0.62184643551435559,0.025328269799982012,1.1337964974526433,0.12184643551435559,0.025328269799982012,0.13379649745264333,0.085635903344597336,0.014821274385161513,0.12903318742890599,0
+-0.25,0,1,2,250,5,3,-0.27627372812791989,-0.015673673346109328,1.9085206402412176,-0.026273728127919893,-0.015673673346109328,-0.091479359758782408,0.0034791890505513718,0.0050018400954821365,0.018683522856528682,0
 """
 
 

@@ -12,6 +12,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from .params import (
     InfeasibleStartError,
     InputDataError,
     NotConvergedError,
-    ParameterError,
     csv_text,
     write_text,
 )
@@ -36,6 +36,15 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_NUMERICAL = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads -inf and every negative float literal,
+    such as -1.2e-05, as a value; argparse's own reads only -1 and -1.5."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|-inf$")
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
@@ -202,7 +211,7 @@ def cmd_sim(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="bgev", description=__doc__)
+    ap = _Parser(prog="bgev", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate pdf/cdf/quantile at given points")
@@ -256,9 +265,6 @@ def main(argv=None) -> int:
         # str() of a KeyError is the repr of its key: print the message itself
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InputDataError, OSError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except MemoryError as exc:  # an allocation a flag asks for, such as --bins or -n
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
@@ -268,7 +274,7 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # InputDataError and ParameterError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -52,30 +53,54 @@ class FitResult:
     """Outcome of one likelihood maximization.
 
     fim is the full observed information matrix -hessian(theta_hat) in
-    natural coordinates, ordered (mu, sigma, delta, xi).  std_errors, in the
-    same order, are 0 for a parameter pinned by ``fixed`` and otherwise the
-    square roots of the diagonal of the inverse of fim's block on the free
-    parameters.  They are present only when that block is positive
-    definite: its lowest eigenvalue (``eigvalsh``) is above 0, the test
-    Newton's stop makes in internal coordinates.  converged means that
-    Newton's stop held at theta_hat, and stop is then "newton"; otherwise
-    it says why the run ended: "step_cap", or "no_ascent" (a step that
+    natural coordinates, ordered (mu, sigma, delta, xi), and None where the
+    Hessian is not finite; fixed names the parameters the fit pinned, in
+    that order.  stop says why the run ended: "newton" where Newton's stop
+    held at theta_hat, otherwise "step_cap", or "no_ascent" (a step that
     predicts no gain or no longer moves the iterate, a start outside the
     parameter space, or a non-finite derivative at the start).  iterations
     counts the trial steps, taken or not, and n_eval every likelihood
     evaluation the fit made: 1 for the start, which is also its feasibility
-    test, plus each trial that stayed in the parameter space.
+    test, plus each trial that stayed in the parameter space.  converged
+    and std_errors are derived from these fields.
     """
 
     theta_hat: BgevParams
     neg2loglik: float
-    converged: bool
     iterations: int
     fim: np.ndarray | None
-    std_errors: np.ndarray | None
+    fixed: tuple[str, ...]
     start: BgevParams
     n_eval: int
     stop: str
+
+    @property
+    def converged(self) -> bool:
+        """Whether Newton's stop held at theta_hat."""
+        return self.stop == "newton"
+
+    @cached_property
+    def std_errors(self) -> np.ndarray | None:
+        """Computed from fim when first read: 0 for a pinned parameter and
+        otherwise the square roots of the diagonal of the inverse of fim's
+        block on the free parameters, where that block is positive definite
+        (its lowest ``eigvalsh`` eigenvalue above 0, the test of Newton's
+        stop) and the inverse exists with a positive diagonal; else None."""
+        if self.fim is None:
+            return None
+        free = [i for i, name in enumerate(PARAM_ORDER) if name not in self.fixed]
+        block = self.fim[np.ix_(free, free)]
+        if not np.linalg.eigvalsh(block)[0] > 0.0:
+            return None
+        try:
+            variances = np.diag(np.linalg.inv(block))
+        except np.linalg.LinAlgError:  # an eigenvalue a rounding error above 0 can leave a zero pivot
+            return None
+        if not variances.min() > 0.0:
+            return None
+        std = np.zeros(4)
+        std[free] = np.sqrt(variances)
+        return std
 
 
 def _to_internal(p: BgevParams) -> list[float]:
@@ -112,23 +137,6 @@ class _Space:
 
     def params(self, row: np.ndarray) -> BgevParams:
         return BgevParams(**{**dict(zip(PARAM_ORDER, row.tolist())), **self.fixed})
-
-
-def _inverses(a: np.ndarray) -> np.ndarray:
-    """The inverses of a stack (r, k, k), nan for the matrices LAPACK finds
-    exactly singular.  One such member makes the stacked call raise, so
-    only then is each matrix taken alone; a matrix whose lowest eigenvalue
-    is a rounding error above 0 can be one."""
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        out = np.full(a.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.inv(a[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
 
 
 def _trust_steps(neg_h: np.ndarray, g: np.ndarray, radius: np.ndarray):
@@ -221,20 +229,6 @@ def _finite_rows(a: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce(np.isfinite(a.reshape(len(a), math.prod(a.shape[1:]))), axis=1)
 
 
-def _probe(space: _Space, z: np.ndarray, x: np.ndarray, rows: np.ndarray):
-    """The kernel's (ll, g, H) of each sample x[rows] at its free internal
-    coordinates z, with -inf and nan where z leaves the parameter space;
-    the mask of rows that were evaluated; and the natural parameter rows."""
-    theta, ok = space.natural(z)
-    if False not in ok.tolist():
-        return kernel(theta, x, 2, rows), ok, theta
-    out = (np.full(len(z), -np.inf), np.full((len(z), 4), np.nan), np.full((len(z), 4, 4), np.nan))
-    if True in ok.tolist():
-        for whole, part in zip(out, kernel(theta[ok], x, 2, rows[ok])):
-            whole[ok] = part
-    return out, ok, theta
-
-
 def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
     """Trust-region Newton ascent of each sample, a row of x (m, n), from
     its free internal start, the same row of z (m, k), all in lockstep
@@ -249,9 +243,11 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
     iterate, and its (ll, g, H) are carried into the next step; otherwise
     the row keeps its iterate and what was evaluated there.  Below 1/4 the
     radius shrinks to a quarter of the step's length, and above 3/4 a step
-    held to the radius doubles it.  A trial that leaves the parameter
-    space, or whose derivatives are not finite, is rejected without
-    counting as an evaluation in the first case.  A row fails when its
+    held to the radius doubles it.  Each step's trials are evaluated as the
+    starts are, in one kernel call on every running row, whose rows are
+    independent; a trial outside the parameter space (the mask of
+    ``_Space.natural``), or whose derivatives are not finite, is rejected,
+    and counts as no evaluation in the first case.  A row fails when its
     start's log-likelihood or derivatives are not finite or its start lies
     outside the space, when its step predicts no gain or no longer moves
     it, or when it is still running after _MAX_STEPS trials.
@@ -298,9 +294,10 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
             s, z_try, pred, boundary = s[go], z_try[go], pred[go], boundary[go]
             if not idx.size:
                 break
-        (ll_try, g_try, h_try), evaluated, theta_try = _probe(space, z_try, x, idx)
-        evals[idx] += evaluated
-        ok = evaluated & np.isfinite(ll_try) & _finite_rows(g_try) & _finite_rows(h_try)
+        theta_try, inside = space.natural(z_try)
+        ll_try, g_try, h_try = kernel(theta_try, x, 2, idx)
+        evals[idx] += inside
+        ok = inside & np.isfinite(ll_try) & _finite_rows(g_try) & _finite_rows(h_try)
         gain = np.where(ok, ll_try - ll, -np.inf)
         accept = gain > _ETA * pred
         if True in accept.tolist():
@@ -312,32 +309,6 @@ def _newton(x: np.ndarray, z: np.ndarray, space: _Space):
         radius = np.where(shrink, 0.25 * np.sqrt(_row_dots(s, s)), np.where(grow, 2.0 * radius, radius))
     theta_out[idx], ll_out[idx], h_out[idx] = theta, ll, h
     return theta_out, ll_out, h_out, steps, evals, done
-
-
-def _information(h: np.ndarray, space: _Space) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """(fim, std_errors) of ``FitResult`` for each Hessian of a stack
-    (r, 4, 4): fim = -h where h is finite, and std_errors where fim's block
-    on the free parameters of ``space`` is positive definite as well: its
-    lowest eigenvalue is above 0, the test of Newton's stop.  They are the
-    square roots of the diagonal of that block's inverse, 0 for a pinned
-    parameter.  One eigvalsh and one inversion serve the stack."""
-    fim = -h  # observed information; the kernel's Hessian is exactly symmetric
-    free = fim[:, space.free_block[0], space.free_block[1]]
-    finite = _finite_rows(h).tolist()
-    rows = [i for i, ok in enumerate(finite) if ok]
-    if rows:
-        low = np.linalg.eigvalsh(_subset(free, rows))[:, 0].tolist()
-        rows = [i for i, v in zip(rows, low) if v > 0.0]
-    std = [None] * len(h)
-    if rows:
-        variances = np.diagonal(_inverses(_subset(free, rows)), axis1=1, axis2=2)
-        for i, v in zip(rows, variances):
-            # none where the block is exactly singular after all (nan), or
-            # too ill-conditioned for its inverse to keep a positive diagonal
-            if v.min() > 0.0:
-                std[i] = np.zeros(4)
-                std[i][space.free] = np.sqrt(v)
-    return [(f if ok else None, e) for f, e, ok in zip(fim, std, finite)]
 
 
 def _checked_space(x: np.ndarray, fixed: dict[str, float] | None) -> _Space:
@@ -355,11 +326,6 @@ def _checked_space(x: np.ndarray, fixed: dict[str, float] | None) -> _Space:
     if not space.free:
         raise ValueError("all parameters fixed, nothing to optimize")
     return space
-
-
-def _subset(x: np.ndarray, rows: list[int]) -> np.ndarray:
-    """The given rows of x, without a copy when they are all of them."""
-    return x if len(rows) == len(x) else x[rows]
 
 
 def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitResult:
@@ -401,21 +367,22 @@ def fit_mle_rows(
     starts = [replace(start, **space.fixed) for start in starts]
     z0 = np.array([_to_internal(s) for s in starts]).reshape(-1, 4)[:, space.free]
     theta, ll, h, steps, evals, done = _newton(x, z0, space)
+    finite = _finite_rows(h).tolist()
+    fixed = tuple(name for name in PARAM_ORDER if name in space.fixed)
     return [
         InfeasibleStartError("starting parameters give zero likelihood (data outside their support)")
         if ll[r] == -np.inf
         else FitResult(
             theta_hat=space.params(theta[r]),
             neg2loglik=-2.0 * float(ll[r]),
-            converged=bool(done[r]),
             iterations=int(steps[r]),
-            fim=fim,
-            std_errors=std,
+            fim=-h[r] if finite[r] else None,  # the kernel's Hessian is exactly symmetric
+            fixed=fixed,
             start=starts[r],
             n_eval=int(evals[r]),
             stop="newton" if done[r] else "step_cap" if steps[r] == _MAX_STEPS else "no_ascent",
         )
-        for r, (fim, std) in enumerate(_information(h, space))
+        for r in range(len(starts))
     ]
 
 

@@ -186,28 +186,6 @@ def _has_long_line(text: str, limit: int) -> bool:
 _SCAN_CHARS = 1 << 18
 
 
-def _may_miss(text: str, start: int, delimiter: str) -> bool:
-    """Whether ``text[start:]`` has what a missing field of
-    ``_fill_missing`` needs: an "N", or two adjacent field edges, one of
-    them a delimiter, counting a line end before the body and one after
-    the text.  str.find of a two-character pattern is slower than the
-    scan it would skip, so the pairs are found by comparing the bytes, a
-    block of ``_SCAN_CHARS`` (and one more) at a time; a text that is not
-    ASCII, whose characters are not its bytes, is taken to have them."""
-    d = delimiter
-    if text.startswith(d, start) or text.endswith(d, start) or text.find("N", start) >= 0 or not text.isascii():
-        return True
-    u = np.frombuffer(text.encode(), np.uint8)
-    for lo in range(start, u.size - 1, _SCAN_CHARS):
-        v = u[lo : lo + _SCAN_CHARS + 1]
-        sep = v == ord(d)
-        edge = v == ord("\n")
-        edge |= sep
-        if (sep[:-1] & edge[1:]).any() or (edge[:-1] & sep[1:]).any():
-            return True
-    return False
-
-
 def _fill_missing(text: str, start: int, delimiter: str) -> str | None:
     """``text[start:]`` with "nan" in every missing field, or None where
     no field is missing; ``start`` is 0 or follows a line end.  A field is
@@ -219,10 +197,7 @@ def _fill_missing(text: str, start: int, delimiter: str) -> str | None:
     between two edges around an "N".  One numpy scan of the UTF-8 bytes
     finds both, since no continuation byte equals an ASCII one.  It takes a
     block of whole lines at a time, each ending at the first line end at or
-    after ``_SCAN_CHARS`` characters, so no field straddles two blocks.
-    A body in which ``_may_miss`` finds no such edges or "N" skips it."""
-    if not _may_miss(text, start, delimiter):
-        return None
+    after ``_SCAN_CHARS`` characters, so no field straddles two blocks."""
     filled, bounds = {}, [start]  # block start: the block filled in; block bounds
     while bounds[-1] < len(text):
         lo = bounds[-1]

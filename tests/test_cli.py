@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgev import pipeline
 from bgev.cli import main
 from bgev.data import bundled_path
+from bgev.mle import FitResult
+from bgev.params import BgevParams
 from bgev.pipeline import START_PRESETS
 from tests.conftest import child_env
 
@@ -41,6 +44,35 @@ def test_eval_values(capsys):
 def test_eval_nan_point_prints_nan(capsys):
     rc, out, _ = run_cli(["eval", "--xi", "0.1", "--mu", "0", "--sigma", "1", "--delta", "0", "--x", "nan"], capsys)
     assert rc == 0 and out == "x,pdf,cdf\nnan,nan,nan\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("eval", "--xi", "-1e-3"),
+        ("eval", "--mu", "-1.2000000000000001e-05"),
+        ("eval", "--delta", "-.5E+0"),
+        ("eval", "--x", "-2e-1"),
+        ("eval", "--x", "-inf"),
+        ("eval", "--q", "-1e-3"),
+        ("sample", "--xi", "-1e-1"),
+    ],
+)
+def test_a_negative_value_in_exponent_form_reads_as_a_value(capsys, command, flag, value):
+    # a value as bgev writes it (%.17g), spaced from its flag, reads as it
+    # does joined to the flag by "=", not as an unknown option
+    given = {"--xi": "0.5", "--mu": "0", "--sigma": "1", "--delta": "0"}
+    given.update({"--x": "1"} if command == "eval" else {"-n": "3", "--seed": "1"})
+    argv = [command, *(a for k, v in given.items() if k != flag for a in (k, v))]
+    spaced = run_cli([*argv, flag, value], capsys)
+    assert spaced == run_cli([*argv, f"{flag}={value}"], capsys)
+    assert spaced[0] == (2 if flag == "--q" else 0)  # a level must lie in (0, 1)
+
+
+def test_negative_points_in_exponent_form_read_as_a_list(capsys):
+    rc, out, _ = run_cli(["eval", *PARAMS, "--x", "-2e-1", "1", "-inf"], capsys)
+    rows = [run_cli(["eval", *PARAMS, f"--x={v}"], capsys)[1].splitlines()[1] for v in ("-2e-1", "1", "-inf")]
+    assert rc == 0 and out.splitlines()[1:] == rows
 
 
 def test_eval_requires_something(capsys):
@@ -228,19 +260,24 @@ def test_fit_no_standardize_overflowing_series_exits_2_without_warnings(tmp_path
     assert res.stderr == "error: ljung_box: the spread of the series overflows a float\n"
 
 
-def test_fit_unconverged_fit_without_gof_exits_3(tmp_path, capsys):
-    # 300 readings in two tight clusters, fitted block by block: the BGEV
-    # fit ends where no step gains (no_ascent), at an end point whose cdf
-    # is 1 at the highest reading, so its KS/AD cannot be computed.  That
-    # is the fit's non-convergence (exit 3), not an input error (exit 2)
-    data = tmp_path / "clusters.csv"
-    data.write_text("".join(f"{v!r}\n" for v in series_values("clusters", 300, 1.0, 55)), encoding="utf-8")
-    argv = ["fit", "--input", str(data), "--block-size", "1", "--out-dir", str(tmp_path / "out")]
+def test_fit_unconverged_fit_without_gof_exits_3(tmp_path, capsys, monkeypatch):
+    # a BGEV fit that ended where no step gains (no_ascent), at an end point
+    # whose upper support edge mu - 1/xi = 1 is the highest reading: the
+    # cdf there is 1 with sf 0, so its KS/AD cannot be computed.  That is
+    # the fit's non-convergence (exit 3), not an input error (exit 2)
+    end = BgevParams(xi=-1.0, mu=0.0, sigma=1.0, delta=0.0)
+    stuck = FitResult(
+        theta_hat=end, neg2loglik=0.0, iterations=3, fim=None, fixed=(), start=end, n_eval=4, stop="no_ascent"
+    )
+    monkeypatch.setattr(pipeline, "fit_mle_rows", lambda x, starts, fixed=None: [stuck])
+    data = tmp_path / "readings.csv"
+    data.write_text("".join(f"{k / 40!r}\n" for k in range(1, 41)), encoding="utf-8")
+    argv = ["fit", "--input", str(data), "--block-size", "1", "--no-standardize", "--out-dir", str(tmp_path / "out")]
     rc, _, err = run_cli(argv, capsys)
     assert rc == 3
     assert err == (
         "error: the BGEV fit did not converge (no_ascent) and its KS/AD cannot be computed: "
-        "F(x) hit the boundary for observation x=0.9875789237738615 (rank 300, F=1.0)\n"
+        "F(x) hit the boundary for observation x=1.0 (rank 40, F=1.0)\n"
     )
 
 

@@ -180,48 +180,3 @@ def test_missing_field_scan_in_blocks_equals_line_by_line(monkeypatch, body, hea
         assert body == expected
     else:
         assert filled == expected != body
-
-
-@st.composite
-def bodies_with_a_gap(draw):
-    """(body, delimiter): lines of one to three fields, with at most one
-    line given an empty first, middle or last field, an empty line or a
-    marker, so that each condition of ``_may_miss`` is met alone."""
-    delimiter = draw(st.sampled_from([",", "\t"]))
-    field = st.sampled_from(["1", "x", "-2.5", "A", "#"])
-    lines = [draw(st.lists(field, min_size=1, max_size=3)) for _ in range(draw(st.integers(1, 6)))]
-    k = draw(st.integers(0, len(lines) - 1))
-    gap = draw(st.sampled_from(["none", "first", "middle", "last", "blank", "NA", "#N/A"]))
-    if gap in ("first", "last"):
-        lines[k] = [""] + lines[k] if gap == "first" else lines[k] + [""]
-    elif gap == "middle":
-        lines[k] = lines[k][:1] + [""] + lines[k][1:]
-    elif gap == "blank":
-        lines[k] = []
-    elif gap != "none":
-        lines[k][0] = gap
-    body = "\n".join(delimiter.join(line) for line in lines)
-    return body + draw(st.sampled_from(["", "\n"])), delimiter
-
-
-@FUZZ
-@given(
-    case=st.one_of(
-        bodies_with_a_gap(),
-        st.tuples(
-            st.lists(st.sampled_from([",", "\t", "\n", "x", "1", "N", "A", "#", "/", "NA"]), max_size=40).map("".join),
-            st.sampled_from([",", "\t"]),
-        ),
-    ),
-    header=st.sampled_from(["", "t,v\n", "t\tv\n", "N,\n"]),
-    block=st.sampled_from([1, 2, 3, 5, pipeline._SCAN_CHARS]),
-)
-def test_missing_field_check_skips_only_bodies_the_scan_leaves(monkeypatch, case, header, block):
-    # _fill_missing skips its scan where _may_miss finds nothing to fill,
-    # and gives what the scan alone gives on every body
-    body, delimiter = case
-    monkeypatch.setattr(pipeline, "_SCAN_CHARS", block)
-    quick = pipeline._fill_missing(header + body, len(header), delimiter)
-    with monkeypatch.context() as m:  # the fixture outlives each example
-        m.setattr(pipeline, "_may_miss", lambda *a: True)
-        assert pipeline._fill_missing(header + body, len(header), delimiter) == quick

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from bgev import (
     sample,
 )
 from bgev import mle, pipeline, sim
+from bgev.cli import main
 from bgev.data import bundled_path
 from bgev.neldermead import nelder_mead
 from bgev.sim import SimCellError
@@ -379,7 +381,7 @@ def test_default_start_raises_where_no_shape_is_feasible(c):
 
 def same_fit(a, b) -> bool:
     """Every field of two FitResults, bit for bit."""
-    fields = [replace(f, fim=None, std_errors=None) for f in (a, b)]
+    fields = [replace(f, fim=None) for f in (a, b)]
     arrays = [None if v is None else v.tobytes() for f in (a, b) for v in (f.fim, f.std_errors)]
     return fields[0] == fields[1] and arrays[:2] == arrays[2:]
 
@@ -412,32 +414,34 @@ def test_infeasible_starts_are_the_errors_of_their_rows(monkeypatch):
         fit_mle(reps[1][0], bad, SIGMA_FIXED)
 
 
-def count_kernel_rows(monkeypatch) -> list[int]:
-    """Route mle's kernel through a counter of the samples it evaluates."""
-    rows = []
+def test_n_eval_counts_every_likelihood_evaluation(monkeypatch):
+    # only xi free, from xi = 0.2 and from xi = -0.2 on a sample whose
+    # estimate is near -0.53: the first row's first step is held to the
+    # radius 0.2 and its trial lands at xi = 0, outside the parameter space.
+    # The kernel sees that trial with the other row's, and n_eval counts the
+    # start and the trials the space's mask keeps
+    fixed = {"mu": 0.0, "sigma": 1.0, "delta": 0.5}
+    x = sample(50, BgevParams(xi=-0.5, **fixed), seed=1)
+    starts = [BgevParams(xi=xi0, **fixed) for xi0 in (0.2, -0.2)]
+    calls = []
     real = mle.kernel
 
-    def counted(theta, x, order=2, at=None):
-        rows.append(1 if isinstance(theta, BgevParams) else len(theta))
+    def spy(theta, x, order=2, at=None):
+        calls.append((theta.copy(), np.arange(len(theta)) if at is None else at.copy()))
         return real(theta, x, order, at)
 
-    monkeypatch.setattr(mle, "kernel", counted)
-    return rows
-
-
-def test_n_eval_counts_every_likelihood_evaluation(monkeypatch):
-    # a line-search probe of replicate r = 3 leaves the parameter space;
-    # such a probe is rejected without an evaluation and costs nothing
-    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
-    reps = [study_replicate(truth, 50, seed=28, r=r) for r in range(6)]
-    rows = count_kernel_rows(monkeypatch)
-    res = fit_mle(*reps[3], SIGMA_FIXED)
-    assert res.stop == "newton" and res.n_eval == sum(rows)
-    rows.clear()
-    fits = mle.fit_mle_rows(np.array([x for x, _ in reps]), [s for _, s in reps], SIGMA_FIXED)
-    assert all(f.stop == "newton" for f in fits)
-    assert sum(f.n_eval for f in fits) == sum(rows)
-    assert fits[3].n_eval == res.n_eval
+    monkeypatch.setattr(mle, "kernel", spy)
+    fits = mle.fit_mle_rows(np.array([x, x]), starts, fixed)
+    monkeypatch.undo()
+    inside, outside = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    for theta, rows in calls:
+        _, ok = mle._Space(fixed).natural(theta[:, [3]])
+        np.add.at(inside, rows, ok)
+        np.add.at(outside, rows, ~ok)
+    assert outside.tolist() == [1, 0] and calls[1][0][0, 3] == 0.0
+    assert all(f.stop == "newton" for f in fits) and [f.n_eval for f in fits] == inside.tolist()
+    # and each row is bitwise its fit alone
+    assert all(same_fit(f, fit_mle(x, s, fixed)) for f, s in zip(fits, starts))
 
 
 def test_fixed_parameters_respected():
@@ -587,9 +591,14 @@ def test_exactly_singular_matrix_steps_and_information():
     fim = np.zeros((2, 4, 4))
     fim[:, :2, :2], fim[:, 2:, 2:] = neg_h, np.eye(2)
     assert np.linalg.eigvalsh(fim[0])[0] > 0.0
-    (f0, std0), (f1, std1) = mle._information(-fim, mle._Space({}))
-    assert f0 is not None and std0 is None
-    assert std1.tobytes() == np.sqrt(np.diag(np.linalg.inv(fim[1]))).tobytes()
+    assert with_information(fim[0]).std_errors is None
+    assert with_information(fim[1]).std_errors.tobytes() == np.sqrt(np.diag(np.linalg.inv(fim[1]))).tobytes()
+
+
+def with_information(fim: np.ndarray) -> mle.FitResult:
+    """A FitResult that carries the given information matrix."""
+    p = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=0.0)
+    return mle.FitResult(theta_hat=p, neg2loglik=0.0, iterations=0, fim=fim, fixed=(), start=p, n_eval=1, stop="newton")
 
 
 def test_no_std_errors_where_the_inverse_loses_its_positive_diagonal():
@@ -604,8 +613,7 @@ def test_no_std_errors_where_the_inverse_loses_its_positive_diagonal():
         [667754516.0073063, 1.0586119218932628, -24622510.051814012, 22093229.319021657],
     ])
     assert np.linalg.eigvalsh(fim)[0] > 0.0 and np.diag(np.linalg.inv(fim)).min() < 0.0
-    ((f, std),) = mle._information(-fim[None], mle._Space({}))
-    assert f is not None and std is None
+    assert with_information(fim).std_errors is None
 
 
 def test_trust_steps_match_their_characterization_on_a_cell(monkeypatch):
@@ -650,6 +658,36 @@ def test_std_errors_present_for_clean_fit():
     free = [0, 1, 3]
     assert res.fim.shape == (4, 4) and res.std_errors[2] == 0.0
     assert res.std_errors[free].tobytes() == np.sqrt(np.diag(np.linalg.inv(res.fim[np.ix_(free, free)]))).tobytes()
+
+
+def test_std_errors_are_computed_when_read(tmp_path, monkeypatch):
+    # neither a suite pass nor a `bgev fit` takes eigenvalues or inverses in
+    # bgev.mle; the first read of a std_errors does
+    calls, fits = [], []
+    for name in ("eigvalsh", "inv"):
+
+        def spy(a, real=getattr(np.linalg, name), name=name):
+            if sys._getframe(1).f_globals["__name__"] == "bgev.mle":
+                calls.append(name)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    real_rows = sim.fit_mle_rows
+
+    def kept(x, starts, fixed=None):
+        out = real_rows(x, starts, fixed)
+        fits.extend(out)
+        return out
+
+    monkeypatch.setattr(sim, "fit_mle_rows", kept)
+    truth = BgevParams(xi=0.25, mu=1.0, sigma=1.0, delta=-0.5)
+    reports, errors = sim.run_suite([SimConfig(truth=truth, n=n, m=10, seed=0) for n in (50, 250)])
+    assert not errors and len(fits) == 20
+    assert main(["fit", "--input", "bundled:bimodal", "--out-dir", str(tmp_path)]) == 0
+    assert calls == []
+    fit = next(f for f in fits if isinstance(f, mle.FitResult))
+    assert fit.std_errors is not None and calls == ["eigvalsh", "inv"]
+    assert fit.std_errors is fit.std_errors and len(calls) == 2  # computed once
 
 
 def test_std_errors_calibrated_on_a_sim_cell():

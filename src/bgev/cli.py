@@ -39,12 +39,13 @@ EXIT_NUMERICAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads -inf and every negative float literal,
-    such as -1.2e-05, as a value; argparse's own reads only -1 and -1.5."""
+    """An ArgumentParser that reads every negative float literal, such as
+    -1.2e-05, -inf or -Infinity (float's spellings, in any case), as a
+    value; argparse's own reads only -1 and -1.5."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|-inf$")
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-inf(inity)?$", re.IGNORECASE)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:

@@ -83,7 +83,7 @@ def log_density_terms(theta: np.ndarray, x: np.ndarray, q: np.ndarray, w=None, d
     if zero is not None:
         psi[zero & (theta[:, 2:3] != 0.0)] = np.nan
     u = np.log(psi, out=q[1])
-    a = np.exp(-u / xi, out=q[2])
+    a = np.exp(np.divide(u, -xi, out=q[2]), out=q[2])  # u/(-xi) is -u/xi bit for bit
     return L, w, t, d, psi, u, a
 
 

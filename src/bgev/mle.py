@@ -347,6 +347,15 @@ def fit_mle(x, start: BgevParams, fixed: dict[str, float] | None = None) -> FitR
     return res
 
 
+def _holds(start: BgevParams, fixed: dict[str, float]) -> bool:
+    """Whether start holds every pinned value already, the sign of a zero
+    included, so that ``replace`` would build an equal BgevParams."""
+    return all(
+        getattr(start, k) == v and math.copysign(1.0, getattr(start, k)) == math.copysign(1.0, v)
+        for k, v in fixed.items()
+    )
+
+
 def fit_mle_rows(
     x, starts: list[BgevParams], fixed: dict[str, float] | None = None
 ) -> list[FitResult | InfeasibleStartError]:
@@ -364,7 +373,7 @@ def fit_mle_rows(
     """
     x = np.asarray(x, dtype=float)
     space = _checked_space(x, fixed)
-    starts = [replace(start, **space.fixed) for start in starts]
+    starts = [start if _holds(start, space.fixed) else replace(start, **space.fixed) for start in starts]
     z0 = np.array([_to_internal(s) for s in starts]).reshape(-1, 4)[:, space.free]
     theta, ll, h, steps, evals, done = _newton(x, z0, space)
     finite = _finite_rows(h).tolist()

@@ -115,15 +115,53 @@ class SimReport:
     drops: dict[str, int] = field(compare=False, default_factory=dict)
 
 
+def _screen(xs: np.ndarray) -> np.ndarray:
+    """Three observations of each row of xs (m, n), at distinct places
+    unless the row is constant: its minimum, the one of least magnitude
+    among the rest, and its maximum.  ``_starts`` decides a candidate's
+    feasibility on these.
+
+    A candidate is feasible where every term of its log density is finite
+    at every observation (``likelihood.log_density_terms``).  As
+    w = x*|x|**delta increases with x for delta > -1, psi = 1 + xi*(sigma*w
+    - mu) is monotone in x, and so are log(psi) and psi**(-1/xi): each of
+    them is finite at every observation if it is at the minimum and the
+    maximum (Coles 2001, section 3.1: psi > 0 is a half-line).  The one
+    step that is not monotone is |x|**delta, which for delta < 0 overflows
+    first at the observations of least magnitude (|x| below about 4e-312
+    at delta = -0.99); an observation at the origin, infeasible at every
+    delta != 0, is the one of least magnitude."""
+    r = np.arange(len(xs))
+    lo, hi = xs.argmin(axis=1), xs.argmax(axis=1)
+    mag = np.abs(xs)
+    mag[r, lo] = np.inf
+    mag[r, hi] = np.inf
+    return xs[r[:, None], np.column_stack([lo, mag.argmin(axis=1), hi])]
+
+
 def _starts(truths: list[BgevParams], xs: np.ndarray, shifts: np.ndarray) -> list[BgevParams]:
     """Each replicate's start: its truth plus lam times its shift, a row of
     shifts in FREE_PARAMS order, at the first lam in 1, 1/2, 1/4, ... (40
     tries) that puts its data, the same row of xs, inside the support,
     else the truth itself.  delta is kept _DELTA_MARGIN above -1 and |xi|
     at least _XI_MARGIN, on the truth's side of 0.  All replicates are
-    tried at once, with one kernel call per shrink step; the arithmetic is
-    elementwise, so each start is that of its replicate alone."""
+    tried at once, with one order-0 kernel call per shrink step on the
+    three observations of each replicate that ``_screen`` takes, so no
+    whole sample is evaluated here: the fit's own evaluation of its start
+    is the one.  The arithmetic is elementwise, so each start is that of
+    its replicate alone.
+
+    The three are observations of the replicate, and the kernel's value
+    for an observation does not depend on the others, so a candidate
+    rejected here has a term that is not finite, or finite terms that
+    already sum past the float range, and a whole-sample evaluation
+    rejects it too.  A candidate accepted here has every term finite.  The
+    one edge is a sample whose finite terms sum past the float range
+    (psi**(-1/xi) near the float maximum): its start is kept here, and its
+    fit reports it as an infeasible start where a whole-sample evaluation
+    would have shrunk it further."""
     truth = np.array([[t.xi, t.mu, t.sigma, t.delta] for t in truths]).reshape(-1, 4)
+    screen = _screen(xs)
     starts = list(truths)
     todo = np.arange(len(truths))
     lam = 1.0
@@ -134,7 +172,7 @@ def _starts(truths: list[BgevParams], xs: np.ndarray, shifts: np.ndarray) -> lis
         delta = np.maximum(t[:, 3] + lam * shift[:, 2], -1.0 + _DELTA_MARGIN)
         xi = np.where(np.abs(xi) < _XI_MARGIN, np.where(t[:, 0] > 0, _XI_MARGIN, -_XI_MARGIN), xi)
         rows = np.column_stack([mu, t[:, 2], delta, xi])  # likelihood.PARAM_ORDER
-        ok = np.isfinite(kernel(rows, xs, 0, todo))
+        ok = np.isfinite(kernel(rows, screen, 0, todo))
         for r, (mu_r, sg_r, dl_r, xi_r) in zip(todo[ok].tolist(), rows[ok].tolist()):
             starts[r] = BgevParams(xi=xi_r, mu=mu_r, sigma=sg_r, delta=dl_r)
         todo = todo[~ok]
@@ -204,14 +242,15 @@ def run_cells(cfgs: list[SimConfig]) -> list[SimReport | Exception]:
 
     Every replicate of every cell is drawn from its own (seed, r) stream
     into one stacked (sum of m, n) array, with one quantile map per cell;
-    the starts of all of them come from one kernel call per shrink step,
-    and all of them are fitted by one ``fit_mle_rows`` call with sigma
-    pinned; each start and fit is bitwise the replicate's alone.  Entry i
-    is cell i's report or the exception that failed it: its draw or its
-    data (the checks the shared fit makes on every sample, made per cell),
-    its failure budget (SimCellError), or the shared starts and fit, which
-    fail every cell of the call.  A report's wall_time is that of the
-    whole call's draws, starts and fit.
+    the starts of all of them come from one kernel call per shrink step
+    on three observations of each replicate, and all of them are fitted
+    by one ``fit_mle_rows`` call with sigma pinned; each start and fit is
+    bitwise the replicate's alone.  Entry i is cell i's report or the
+    exception that failed it: its draw or its data (the checks the shared
+    fit makes on every sample, made per cell), its failure budget
+    (SimCellError), or the shared starts and fit, which fail every cell of
+    the call.  A report's wall_time is that of the whole call's draws,
+    starts and fit.
     """
     t0 = time.perf_counter()
     n, sigma = cfgs[0].n, cfgs[0].truth.sigma
@@ -264,7 +303,8 @@ def run_cell(cfg: SimConfig) -> SimReport:
     replicate is refitted with sigma pinned to its true value, from a start
     whose free coordinates are the true values plus independent uniform(0,1)
     draws, shrunk toward the truth until the replicate's data are inside
-    its support (the truth itself if no shrink gets there).  Non-convergent
+    its support (the truth itself if no shrink gets there), as decided on
+    three of its observations (``_starts``).  Non-convergent
     or infeasible replicates are excluded from the moments and counted by
     cause; more than a fifth of m of them raises SimCellError.  This is the
     one-cell case of ``run_cells``.

@@ -75,6 +75,14 @@ def test_negative_points_in_exponent_form_read_as_a_list(capsys):
     assert rc == 0 and out.splitlines()[1:] == rows
 
 
+@pytest.mark.parametrize("spelling", ["-Inf", "-INF", "-infinity", "-Infinity", "-INFINITY"])
+def test_negative_infinity_reads_as_a_value_in_any_spelling(capsys, spelling):
+    # float reads inf and infinity in any case, and so does the flag parser
+    spaced = run_cli(["eval", *PARAMS, "--x", spelling, "1"], capsys)
+    assert spaced[0] == 0 and spaced == run_cli(["eval", *PARAMS, "--x", "-inf", "1"], capsys)
+    assert run_cli(["eval", *PARAMS, f"--x={spelling}"], capsys)[1] == run_cli(["eval", *PARAMS, "--x=-inf"], capsys)[1]
+
+
 def test_eval_requires_something(capsys):
     rc, _, err = run_cli(["eval", *PARAMS], capsys)
     assert rc == 2 and "nothing to evaluate" in err

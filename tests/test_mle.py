@@ -452,6 +452,17 @@ def test_fixed_parameters_respected():
     assert res.theta_hat.delta == 2.0
 
 
+def test_start_takes_the_pinned_values():
+    # a start that holds every pinned value is reported as given; any other,
+    # a zero of the other sign included, with the pinned values
+    x = sample(60, BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=0.5), seed=3)
+    held = BgevParams(xi=0.4, mu=0.0, sigma=1.0, delta=0.5)
+    starts = [held, replace(held, mu=-0.0), replace(held, sigma=1.5)]
+    a, b, c = mle.fit_mle_rows(np.array([x, x, x]), starts, {"mu": 0.0, "sigma": 1.0})
+    assert a.start is held
+    assert b.start == c.start == held and math.copysign(1.0, b.start.mu) == 1.0
+
+
 @pytest.mark.parametrize(
     "fixed, error",
     [

@@ -1,11 +1,15 @@
+import math
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bgev.sim as sim_mod
 from bgev import BgevParams, InfeasibleStartError, SimConfig, fit_mle, log_likelihood, quantile, run_cell, run_suite, sample
+from bgev.likelihood import kernel, log_density_terms
 from bgev.mle import fit_mle_rows
 from bgev.sim import CSV_HEADER, SimCellError, load_suite_config, reports_to_csv, reports_to_table, run_cells
 
@@ -521,6 +525,116 @@ def test_batched_starts_equal_each_cell_alone():
     as_bytes = lambda starts: np.array([[p.xi, p.mu, p.sigma, p.delta] for p in starts]).tobytes()  # noqa: E731
     assert as_bytes(batched) == as_bytes(scalar)
     assert batched[-2].xi == -1e-6 and batched[-1] is cells[3].truth
+
+
+FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# far-tail observations: at the float range's ends, and subnormal, where
+# |x|**delta overflows for delta near -1
+FAR = [1e300, -1e300, 1e154, -3e200, 1e-310, -1e-320, 5e-324, 1e-200]
+
+xi_sizes = st.one_of(st.just(sim_mod._XI_MARGIN), st.floats(math.log(1e-6), math.log(5.0)).map(math.exp))
+truths = st.builds(
+    BgevParams,
+    xi=st.tuples(st.sampled_from([-1.0, 1.0]), xi_sizes).map(lambda sv: sv[0] * sv[1]),
+    mu=st.floats(-3.0, 3.0),
+    sigma=st.floats(math.log(0.2), math.log(5.0)).map(math.exp),
+    delta=st.one_of(st.floats(-1.0, 3.0, exclude_min=True), st.sampled_from([-1.0 + 1e-6, -0.999, -0.99, -0.96])),
+)
+# an edit puts a far-tail value, an exact zero of either sign, or a tie
+# with another observation at an index
+edits = st.lists(
+    st.tuples(st.integers(0, 39), st.one_of(st.sampled_from([*FAR, 0.0, -0.0]), st.integers(0, 39))), max_size=4
+)
+
+
+@st.composite
+def replicates(draw):
+    """A truth, a sample drawn from it with edits, and a start shift."""
+    truth = draw(truths)
+    n = draw(st.integers(8, 40))
+    with np.errstate(all="ignore"):
+        x = np.clip(sample(n, truth, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))), -1e300, 1e300)
+    for i, v in draw(edits):
+        x[i % n] = v if isinstance(v, float) else x[v % n]
+    shift = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)))
+    return truth, x, shift
+
+
+def overflow_edge(p: BgevParams, x: np.ndarray) -> bool:
+    """Whether every term of the log density of x at p is finite while the
+    log-likelihood is not: a sum over the sample overflowed."""
+    q = np.empty((3, 1, x.size))
+    with np.errstate(all="ignore"):
+        log_density_terms(np.array([[p.mu, p.sigma, p.delta, p.xi]]), x[None], q)
+    return bool(np.isfinite(q).all()) and not np.isfinite(log_likelihood(p, x))
+
+
+@FUZZ
+@given(replicates())
+def test_screen_decides_feasibility_as_the_whole_sample(case):
+    # at every shrink step a candidate that the whole sample admits passes
+    # the screen of three observations, and one that passes is admitted
+    # but where a sum of finite terms overflows
+    truth, x, shift = case
+    cands = [project_start(truth, shift, 0.5**k) for k in range(40)]
+    theta = np.array([[c.mu, c.sigma, c.delta, c.xi] for c in cands])
+    ends = sim_mod._screen(x[None])
+    rest = x.tolist()
+    for v in ends[0].tolist():
+        rest.remove(v)  # three observations, each of its own place
+    assert ends.min() == x.min() and ends.max() == x.max() and np.abs(ends).min() == np.abs(x).min()
+    screen = np.isfinite(kernel(theta, np.broadcast_to(ends, (40, 3)), 0)).tolist()
+    for cand, passes in zip(cands, screen):
+        full = bool(np.isfinite(log_likelihood(cand, x)))
+        assert passes or not full
+        assert full or not passes or overflow_edge(cand, x)
+
+
+@FUZZ
+@given(replicates())
+def test_screened_start_equals_the_start_alone(case):
+    truth, x, shift = case
+    (got,) = sim_mod._starts([truth], x[None], shift[None])
+    want = start_alone(truth, x, shift)
+    as_bytes = lambda p: np.array([p.xi, p.mu, p.sigma, p.delta]).tobytes()  # noqa: E731
+    assert as_bytes(got) == as_bytes(want) or overflow_edge(got, x)
+
+
+def test_screen_takes_the_least_magnitude_besides_the_extremes():
+    # min, max and the observation nearest the origin, each at its own
+    # place: a subnormal one overflows |x|**delta near delta = -1, and an
+    # exact zero is infeasible at every delta != 0
+    x = np.array([[0.5, -1.0, 1e-320, 2.0, 0.25, 3.0, -0.5, 1.0]])
+    assert sim_mod._screen(x).tolist() == [[-1.0, 1e-320, 3.0]]
+    near = BgevParams(xi=0.5, mu=0.0, sigma=1.0, delta=-0.99)
+    assert log_likelihood(near, x[0]) == -np.inf and log_likelihood(near, sim_mod._screen(x)[0]) == -np.inf
+    assert log_likelihood(near, [-1.0, 3.0, -1.0]) > -np.inf  # the extremes alone miss it
+    x[0, 4] = 0.0
+    assert sim_mod._screen(x).tolist() == [[-1.0, 0.0, 3.0]]
+    ties = np.full((1, 8), 2.0)
+    assert sim_mod._screen(ties).tolist() == [[2.0, 2.0, 2.0]]
+
+
+def test_starts_evaluate_no_full_sample(monkeypatch):
+    # the starts of a suite pass are screened on three observations per
+    # replicate; the fits' own kernel calls go through bgev.mle
+    seen = []
+
+    def spy(theta, x, order=2, rows=None):
+        seen.append((order, np.shape(x)[1]))
+        return kernel(theta, x, order, rows)
+
+    monkeypatch.setattr(sim_mod, "kernel", spy)
+    reports, errors = run_suite(MIXED[:3])
+    assert not errors and seen
+    assert all(order == 0 and cols <= 3 for order, cols in seen)
 
 
 # the results.csv text of a small mixed suite, one cell with a step_cap
